@@ -1,5 +1,5 @@
-// Cost-based multi-backend planner — the perf story of the serving layer's
-// backend lattice. Three seeded OMQ families, each with a characteristic
+// Multi-backend planner — the perf story of the serving layer's backend
+// lattice. Three seeded OMQ families, each with a characteristic
 // best backend, are run as identical assert/retract storms through
 // sessions whose plans either pin one backend or let the planner choose:
 //
@@ -15,9 +15,9 @@
 //    as edge churn creates and dissolves odd cycles, and the SAT-dispatched
 //    CSP backend replaces whole-tableau recomputation.
 //
-// Every run of a family executes the same delta sequence and its per-step
-// answer sets are differentially compared against the family's first run
-// (`answers_identical`, ci-gated). `planner_speedup` (worst pinned backend
+// Every run of a family executes the same delta sequence (five passes, the
+// fastest timed) and its per-step answer sets are differentially compared
+// against the family's first run (`answers_identical`, ci-gated). `planner_speedup` (worst pinned backend
 // over planner wall time, ci-gated > 1) and `distinct_backends` (ci-gated
 // >= 3) are the headline numbers of BENCH_planner.json.
 
@@ -50,6 +50,8 @@ constexpr const char* kLookupText =
 constexpr const char* kRecursiveText =
     "forall x . (A0(x) -> A1(x)); "
     "forall x, y (R(x,y) -> (A1(x) -> A1(y)));";
+
+constexpr int kRepeats = 5;  // passes per (family, run); the fastest counts
 
 uint64_t NowMicros(std::chrono::steady_clock::time_point t0) {
   return static_cast<uint64_t>(
@@ -198,7 +200,16 @@ Family RunFamily(const std::string& name, const Ontology& onto, const Ucq& q,
   std::vector<std::set<std::vector<ElemId>>> trace;
   uint64_t worst_pinned = 0;
   for (const RunSpec& spec : specs) {
+    // Each storm lasts well under a millisecond on the fast backends, so
+    // one pass is at the mercy of a single scheduler hiccup: report the
+    // fastest of kRepeats identical passes (every one differentially
+    // checked against the trace).
     RunResult r = RunOne(spec, onto, q, rels, n, steps, seed, &trace);
+    for (int rep = 1; rep < kRepeats; ++rep) {
+      RunResult again = RunOne(spec, onto, q, rels, n, steps, seed, &trace);
+      r.answer_micros = std::min(r.answer_micros, again.answer_micros);
+      r.answers_identical = r.answers_identical && again.answers_identical;
+    }
     if (spec.label != "planner") {
       worst_pinned = std::max(worst_pinned, r.answer_micros);
     }
@@ -211,7 +222,7 @@ Family RunFamily(const std::string& name, const Ontology& onto, const Ucq& q,
 }
 
 void PrintTableAndJson() {
-  std::printf("cost-based planner — per-backend storms on seeded families\n");
+  std::printf("planner — per-backend storms on seeded families\n");
   std::vector<Family> families;
 
   {

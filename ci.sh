@@ -39,13 +39,14 @@
 # (ctest -L scheduler); BENCH_scheduler.json — the cross-layer contention
 # bench — is regenerated and schema-checked, and must report
 # verdicts_identical=1, zero serve protocol errors, and exactly one pool
-# per scheduler. BENCH_planner.json (the cost-based multi-backend planner
-# bench) is regenerated and schema-checked; every row must report answers
+# per scheduler. BENCH_planner.json (the multi-backend planner bench) is
+# regenerated and schema-checked; every row must report answers
 # bit-identical to its family's differential reference, every family must
 # show the planner beating the worst pinned backend, the FO fast path must
 # beat the datalog fixpoint on the lookup family, and the planner must
 # choose at least three distinct backends across the families. The planner
-# suites (FoRewriter/CompiledUcq/CspSat/Planner*) join the asan batch and
+# suites (FoRewriter/CompiledUcq/CspSat/Planner*) and the rule-pruning
+# fixpoint differential (DatalogPrune) join the asan batch and
 # PlannerConcurrency joins the tsan filter. Finally, when clang-tidy is
 # installed, the modernize/performance/bugprone profile in .clang-tidy
 # runs over src/logic and src/reasoner.
@@ -71,7 +72,7 @@ ctest --preset release -j "$JOBS" -L fuzz
 
 echo "=== [asan] differential suite (indexed vs naive reference) ==="
 ctest --preset asan -j "$JOBS" \
-  -R 'IndexedMatchesNaive|IndexedEngineMatchesNaive|RandomizedIndexMaintenance|SemiNaiveMatchesNaive|TableauDifferential|TableauParallel|TableauTrail|TableauFuzzTsan|ConsistencyCache|ServeSession|ServeDriver|BenchJson|Scheduler|FoRewriter|CompiledUcq|CspSat|Planner'
+  -R 'IndexedMatchesNaive|IndexedEngineMatchesNaive|RandomizedIndexMaintenance|SemiNaiveMatchesNaive|TableauDifferential|TableauParallel|TableauTrail|TableauFuzzTsan|ConsistencyCache|ServeSession|ServeDriver|BenchJson|Scheduler|FoRewriter|CompiledUcq|CspSat|Planner|DatalogPrune'
 
 echo "=== [release] scheduler tier (ctest -L scheduler) ==="
 ctest --preset release -j "$JOBS" -L scheduler

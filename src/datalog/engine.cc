@@ -15,6 +15,45 @@ namespace {
          a.facts() == b.facts();
 }
 
+/// Pins `atom`'s variables to `args` in `fixed`; false when a repeated
+/// variable would need two different elements.
+bool Bind(const DatalogAtom& atom, const std::vector<ElemId>& args,
+          std::vector<int64_t>* fixed) {
+  for (size_t i = 0; i < args.size(); ++i) {
+    int64_t& slot = (*fixed)[atom.vars[i]];
+    const int64_t e = static_cast<int64_t>(args[i]);
+    if (slot >= 0 && slot != e) return false;
+    slot = e;
+  }
+  return true;
+}
+
+/// The head fact that the body match `assign` derives, or nullopt when the
+/// match violates one of the rule's ≠ constraints.
+std::optional<Fact> Fire(const DatalogRule& rule,
+                         const std::vector<int64_t>& assign) {
+  for (const auto& [x, y] : rule.neq) {
+    if (assign[x] == assign[y]) return std::nullopt;
+  }
+  Fact f{rule.head.rel, {}};
+  f.args.reserve(rule.head.vars.size());
+  for (uint32_t v : rule.head.vars) {
+    f.args.push_back(static_cast<ElemId>(assign[v]));
+  }
+  return f;
+}
+
+/// The rule's body as a matcher pattern without the atom at `skip` (pass
+/// body.size() to keep every atom).
+std::vector<PatternAtom> Pattern(const DatalogRule& rule, size_t skip) {
+  std::vector<PatternAtom> atoms;
+  atoms.reserve(rule.body.size());
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    if (i != skip) atoms.push_back({rule.body[i].rel, rule.body[i].vars});
+  }
+  return atoms;
+}
+
 }  // namespace
 
 DatalogEngine::DatalogEngine(const DatalogProgram& program,
@@ -23,8 +62,11 @@ DatalogEngine::DatalogEngine(const DatalogProgram& program,
   for (size_t r = 0; r < program_.rules.size(); ++r) {
     const DatalogRule& rule = program_.rules[r];
     for (size_t pivot = 0; pivot < rule.body.size(); ++pivot) {
-      dispatch_[rule.body[pivot].rel].emplace_back(r, pivot);
+      dispatch_[rule.body[pivot].rel].push_back(
+          PivotPlan{r, pivot, Pattern(rule, pivot)});
     }
+    rules_by_head_[rule.head.rel].push_back(r);
+    bodies_.push_back(Pattern(rule, rule.body.size()));
   }
 }
 
@@ -60,6 +102,33 @@ void DatalogEngine::SaturateDelta(Instance* db,
   RunSemiNaive(db, std::move(delta));
 }
 
+template <typename OnHead>
+void DatalogEngine::FireDelta(
+    const std::map<uint32_t, std::vector<Fact>>& delta, const Instance& db,
+    OnHead on_head) {
+  for (const auto& [rel, dfacts] : delta) {
+    auto dit = dispatch_.find(rel);
+    if (dit == dispatch_.end()) continue;
+    for (const PivotPlan& plan : dit->second) {
+      const DatalogRule& rule = program_.rules[plan.rule];
+      for (const Fact& df : dfacts) {
+        ++stats_.rule_attempts;
+        std::vector<int64_t> fixed(rule.num_vars, -1);
+        if (!Bind(rule.body[plan.pivot], df.args, &fixed)) continue;
+        ForEachMatch(
+            plan.rest, rule.num_vars, db, fixed,
+            [&](const std::vector<int64_t>& assign) {
+              if (std::optional<Fact> h = Fire(rule, assign)) {
+                on_head(plan.rule, std::move(*h));
+              }
+              return false;
+            },
+            &stats_.match);
+      }
+    }
+  }
+}
+
 void DatalogEngine::RunSemiNaive(Instance* dbp,
                                  std::map<uint32_t, std::vector<Fact>> delta) {
   auto t0 = std::chrono::steady_clock::now();
@@ -67,55 +136,19 @@ void DatalogEngine::RunSemiNaive(Instance* dbp,
   while (!delta.empty()) {
     ++stats_.iterations;
     std::vector<bool> rule_fired(program_.rules.size(), false);
-    std::set<Fact> next_delta;
     for (const auto& [rel, dfacts] : delta) {
       stats_.delta_facts += dfacts.size();
       auto dit = dispatch_.find(rel);
       if (dit == dispatch_.end()) continue;
-      for (const auto& [ri, pivot] : dit->second) {
-        const DatalogRule& rule = program_.rules[ri];
-        rule_fired[ri] = true;
-        std::vector<PatternAtom> rest;
-        rest.reserve(rule.body.size() - 1);
-        for (size_t i = 0; i < rule.body.size(); ++i) {
-          if (i != pivot) rest.push_back({rule.body[i].rel, rule.body[i].vars});
-        }
-        // Match the pivot atom against delta facts only; the rest of the
-        // body runs through the indexed matcher over the full instance.
-        for (const Fact& df : dfacts) {
-          ++stats_.rule_attempts;
-          std::vector<int64_t> fixed(rule.num_vars, -1);
-          bool ok = true;
-          for (size_t i = 0; i < df.args.size() && ok; ++i) {
-            uint32_t v = rule.body[pivot].vars[i];
-            if (fixed[v] >= 0 && fixed[v] != static_cast<int64_t>(df.args[i])) {
-              ok = false;
-            }
-            fixed[v] = static_cast<int64_t>(df.args[i]);
-          }
-          if (!ok) continue;
-          ForEachMatch(
-              rest, rule.num_vars, db, fixed,
-              [&](const std::vector<int64_t>& assign) {
-                for (const auto& [x, y] : rule.neq) {
-                  if (assign[x] == assign[y]) return false;
-                }
-                std::vector<ElemId> args;
-                args.reserve(rule.head.vars.size());
-                for (uint32_t v : rule.head.vars) {
-                  args.push_back(static_cast<ElemId>(assign[v]));
-                }
-                ++stats_.per_rule_firings[ri];
-                Fact f{rule.head.rel, std::move(args)};
-                if (!db.HasFact(f) && !next_delta.count(f)) {
-                  next_delta.insert(std::move(f));
-                }
-                return false;
-              },
-              &stats_.match);
-        }
-      }
+      for (const PivotPlan& plan : dit->second) rule_fired[plan.rule] = true;
     }
+    // Match the pivot atom against delta facts only; the rest of the body
+    // runs through the indexed matcher over the full instance.
+    std::set<Fact> next_delta;
+    FireDelta(delta, db, [&](size_t ri, Fact f) {
+      ++stats_.per_rule_firings[ri];
+      if (!db.HasFact(f)) next_delta.insert(std::move(f));
+    });
     for (bool fired : rule_fired) {
       fired ? ++stats_.rules_dispatched : ++stats_.rules_skipped;
     }
@@ -139,8 +172,8 @@ std::set<Fact> DatalogEngine::OverdeleteClosure(
   // fact is possibly-invalidated if some one-step derivation of it uses a
   // possibly-invalidated fact. Bodies are matched against `db` with the
   // deleted facts still present — the standard over-approximation; the
-  // rederivation pass (a SaturateDelta over the survivors) restores facts
-  // with surviving alternative derivations.
+  // rederivation step (Rederive) restores facts with surviving
+  // alternative derivations.
   std::set<Fact> del;
   std::map<uint32_t, std::vector<Fact>> delta;
   for (const Fact& f : deleted) {
@@ -149,53 +182,42 @@ std::set<Fact> DatalogEngine::OverdeleteClosure(
   }
   while (!delta.empty()) {
     std::map<uint32_t, std::vector<Fact>> next;
-    for (const auto& [rel, dfacts] : delta) {
-      auto dit = dispatch_.find(rel);
-      if (dit == dispatch_.end()) continue;
-      for (const auto& [ri, pivot] : dit->second) {
-        const DatalogRule& rule = program_.rules[ri];
-        std::vector<PatternAtom> rest;
-        rest.reserve(rule.body.size() - 1);
-        for (size_t i = 0; i < rule.body.size(); ++i) {
-          if (i != pivot) rest.push_back({rule.body[i].rel, rule.body[i].vars});
-        }
-        for (const Fact& df : dfacts) {
-          std::vector<int64_t> fixed(rule.num_vars, -1);
-          bool ok = true;
-          for (size_t i = 0; i < df.args.size() && ok; ++i) {
-            uint32_t v = rule.body[pivot].vars[i];
-            if (fixed[v] >= 0 && fixed[v] != static_cast<int64_t>(df.args[i])) {
-              ok = false;
-            }
-            fixed[v] = static_cast<int64_t>(df.args[i]);
-          }
-          if (!ok) continue;
-          ForEachMatch(
-              rest, rule.num_vars, db, fixed,
-              [&](const std::vector<int64_t>& assign) {
-                for (const auto& [x, y] : rule.neq) {
-                  if (assign[x] == assign[y]) return false;
-                }
-                std::vector<ElemId> args;
-                args.reserve(rule.head.vars.size());
-                for (uint32_t v : rule.head.vars) {
-                  args.push_back(static_cast<ElemId>(assign[v]));
-                }
-                Fact h{rule.head.rel, std::move(args)};
-                // External facts survive any retraction of *other* facts.
-                if (db.HasFact(h) && !base.HasFact(h) && !del.count(h)) {
-                  next[h.rel].push_back(h);
-                  del.insert(std::move(h));
-                }
-                return false;
-              },
-              &stats_.match);
-        }
+    FireDelta(delta, db, [&](size_t, Fact h) {
+      // External facts survive any retraction of *other* facts.
+      if (db.HasFact(h) && !base.HasFact(h) && !del.count(h)) {
+        next[h.rel].push_back(h);
+        del.insert(std::move(h));
       }
-    }
+    });
     delta = std::move(next);
   }
   return del;
+}
+
+std::vector<Fact> DatalogEngine::Rederive(const Instance& db,
+                                          const std::set<Fact>& overdeleted) {
+  std::vector<Fact> out;
+  for (const Fact& f : overdeleted) {
+    auto hit = rules_by_head_.find(f.rel);
+    if (hit == rules_by_head_.end() || db.HasFact(f)) continue;
+    for (size_t ri : hit->second) {
+      const DatalogRule& rule = program_.rules[ri];
+      ++stats_.rule_attempts;
+      std::vector<int64_t> fixed(rule.num_vars, -1);
+      if (!Bind(rule.head, f.args, &fixed)) continue;
+      bool derived = ForEachMatch(
+          bodies_[ri], rule.num_vars, db, fixed,
+          [&](const std::vector<int64_t>& assign) {
+            return Fire(rule, assign).has_value();
+          },
+          &stats_.match);
+      if (derived) {
+        out.push_back(f);
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 Instance DatalogEngine::EvaluateNaive(const Instance& input) {
@@ -220,33 +242,18 @@ Instance DatalogEngine::EvaluateNaive(const Instance& input) {
           if (df.rel != rule.body[pivot].rel) continue;
           ++stats_.rule_attempts;
           std::vector<int64_t> fixed(rule.num_vars, -1);
-          bool ok = true;
-          for (size_t i = 0; i < df.args.size() && ok; ++i) {
-            uint32_t v = rule.body[pivot].vars[i];
-            if (fixed[v] >= 0 && fixed[v] != static_cast<int64_t>(df.args[i])) {
-              ok = false;
-            }
-            fixed[v] = static_cast<int64_t>(df.args[i]);
-          }
-          if (!ok) continue;
+          if (!Bind(rule.body[pivot], df.args, &fixed)) continue;
           std::vector<PatternAtom> rest;
           for (size_t i = 0; i < pattern.size(); ++i) {
             if (i != pivot) rest.push_back(pattern[i]);
           }
           ForEachMatchNaive(rest, rule.num_vars, db, fixed,
                             [&](const std::vector<int64_t>& assign) {
-                              for (const auto& [x, y] : rule.neq) {
-                                if (assign[x] == assign[y]) return false;
-                              }
-                              std::vector<ElemId> args;
-                              args.reserve(rule.head.vars.size());
-                              for (uint32_t v : rule.head.vars) {
-                                args.push_back(static_cast<ElemId>(assign[v]));
-                              }
+                              std::optional<Fact> f = Fire(rule, assign);
+                              if (!f) return false;
                               ++stats_.per_rule_firings[ri];
-                              Fact f{rule.head.rel, std::move(args)};
-                              if (!db.HasFact(f) && !next_delta.count(f)) {
-                                next_delta.insert(std::move(f));
+                              if (!db.HasFact(*f)) {
+                                next_delta.insert(std::move(*f));
                               }
                               return false;
                             });

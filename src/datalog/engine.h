@@ -35,7 +35,10 @@ enum class DatalogEvalMode { kIndexed, kNaive };
 /// Semi-naive bottom-up evaluation of Datalog(≠) programs. The indexed
 /// mode dispatches each round only to rules whose body mentions a relation
 /// present in the delta (body-relation -> (rule, pivot) map built once per
-/// engine) and matches the non-pivot body against the instance indexes.
+/// engine, each entry carrying its precomputed non-pivot pattern) and
+/// matches the non-pivot body against the instance indexes. The same
+/// dispatch drives DRed's overdeletion; a head-relation -> rules index
+/// drives its one-step rederivation.
 /// Engines are not thread-safe; use one per thread.
 class DatalogEngine {
  public:
@@ -69,6 +72,17 @@ class DatalogEngine {
                                    const std::vector<Fact>& deleted,
                                    const Instance& base);
 
+  /// DRed rederivation, one backward step: the facts of `overdeleted`
+  /// (absent from `db`, the view after overdeletion) that some rule
+  /// derives in one step from `db` — the head is bound to the fact and the
+  /// body matched against `db`. Adding these and running SaturateDelta
+  /// seeded with them (plus any newly asserted facts) restores exactly
+  /// the from-scratch fixpoint: every firing whose body avoids the seeds
+  /// already had its head in the view or among the rederived facts.
+  /// Cost is proportional to the overdeleted set, not to the view.
+  std::vector<Fact> Rederive(const Instance& db,
+                             const std::set<Fact>& overdeleted);
+
   const DatalogStats& stats() const { return stats_; }
 
   /// Number of saturations actually run / GoalTuples calls answered from
@@ -83,11 +97,29 @@ class DatalogEngine {
   /// `delta` (facts grouped by relation, already present in `db`).
   void RunSemiNaive(Instance* db,
                     std::map<uint32_t, std::vector<Fact>> delta);
+  /// Fires every (rule, pivot) that `delta` dispatches: the pivot atom is
+  /// bound to each delta fact of its relation and the rest of the body is
+  /// matched in `db`; `on_head(rule index, head fact)` sees every
+  /// ≠-respecting firing. Shared by RunSemiNaive and OverdeleteClosure.
+  template <typename OnHead>
+  void FireDelta(const std::map<uint32_t, std::vector<Fact>>& delta,
+                 const Instance& db, OnHead on_head);
+
+  /// One dispatch entry: a rule, the body position bound to the delta
+  /// fact, and the remaining body atoms as a matcher pattern.
+  struct PivotPlan {
+    size_t rule;
+    size_t pivot;
+    std::vector<PatternAtom> rest;
+  };
 
   const DatalogProgram& program_;
   DatalogEvalMode mode_;
-  // Body-relation -> (rule index, pivot position) dispatch map.
-  std::map<uint32_t, std::vector<std::pair<size_t, size_t>>> dispatch_;
+  // Body-relation -> pivot plans (built once, in the constructor).
+  std::map<uint32_t, std::vector<PivotPlan>> dispatch_;
+  // Head-relation -> rule indices, with each rule's full body pattern.
+  std::map<uint32_t, std::vector<size_t>> rules_by_head_;
+  std::vector<std::vector<PatternAtom>> bodies_;
   DatalogStats stats_;
   uint64_t evaluations_ = 0;
   uint64_t goal_cache_hits_ = 0;

@@ -117,83 +117,6 @@ bool ReachableAcyclic(
   return true;
 }
 
-/// The body of a rule viewed as a CQ with the head arguments as answer
-/// variables (the shape both sides of the subsumption test need).
-Cq RuleBodyCq(const DatalogRule& rule, const SymbolsPtr& symbols) {
-  Cq cq;
-  cq.symbols = symbols;
-  cq.num_vars = rule.num_vars;
-  cq.answer_vars = rule.head.vars;
-  cq.atoms.reserve(rule.body.size());
-  for (const DatalogAtom& b : rule.body) {
-    cq.atoms.push_back(CqAtom{b.rel, b.vars});
-  }
-  return cq;
-}
-
-/// Semantics-preserving rule pruning. Rule r is redundant when (a) its
-/// head atom already occurs in its body (a tautology derives nothing), or
-/// (b) another ≠-free rule r' with the same head relation *subsumes* it: a
-/// homomorphism from r''s body into r's body carrying r''s head arguments
-/// onto r's — then whenever r fires, r' already derived the same fact, so
-/// dropping r leaves the fixpoint unchanged. (r itself may carry ≠: its ≠
-/// constraints only restrict when it fires, which only helps.)
-///
-/// The configuration-sweep rewriting emits many such redundant rules
-/// (e.g. A(x) ← R(x,y) ∧ A(y) next to the more general A(x) ← R(x,y)),
-/// and those make the dependency graph *spuriously* cyclic — pruning
-/// first turns the recursion check into one "modulo redundancy".
-std::map<uint32_t, std::vector<const DatalogRule*>> PruneRules(
-    const DatalogProgram& program, size_t* pruned) {
-  std::map<uint32_t, std::vector<const DatalogRule*>> by_head;
-  for (const DatalogRule& r : program.rules) {
-    by_head[r.head.rel].push_back(&r);
-  }
-  for (auto& [rel, group] : by_head) {
-    // Generalizers tend to have smaller bodies; scanning them first makes
-    // the keep-first pass prune maximally (ties keep the earlier rule, so
-    // mutually-subsuming equivalents never both vanish).
-    std::stable_sort(group.begin(), group.end(),
-                     [](const DatalogRule* a, const DatalogRule* b) {
-                       return a->body.size() < b->body.size();
-                     });
-    std::vector<const DatalogRule*> kept;
-    std::vector<Cq> kept_cqs;  // ≠-free kept rules, as subsumer CQs
-    for (const DatalogRule* r : group) {
-      bool redundant = false;
-      for (const DatalogAtom& b : r->body) {
-        if (b.rel == r->head.rel && b.vars == r->head.vars) {
-          redundant = true;  // tautology
-          break;
-        }
-      }
-      if (!redundant && !kept_cqs.empty()) {
-        Instance db = RuleBodyCq(*r, program.symbols).CanonicalDb();
-        std::vector<ElemId> tuple(r->head.vars.begin(), r->head.vars.end());
-        for (const Cq& k : kept_cqs) {
-          if (k.HasAnswer(db, tuple)) {
-            redundant = true;
-            break;
-          }
-        }
-      }
-      if (redundant) {
-        ++*pruned;
-        continue;
-      }
-      kept.push_back(r);
-      if (r->neq.empty()) {
-        kept_cqs.push_back(RuleBodyCq(*r, program.symbols));
-      }
-    }
-    group = std::move(kept);
-  }
-  for (auto it = by_head.begin(); it != by_head.end();) {
-    it = it->second.empty() ? by_head.erase(it) : std::next(it);
-  }
-  return by_head;
-}
-
 }  // namespace
 
 FoRewriteResult RewriteToUcq(const DatalogProgram& program,
@@ -207,8 +130,14 @@ FoRewriteResult RewriteToUcq(const DatalogProgram& program,
   const uint32_t goal = static_cast<uint32_t>(program.goal_rel);
   const std::set<uint32_t> edb(edb_rels.begin(), edb_rels.end());
 
-  std::map<uint32_t, std::vector<const DatalogRule*>> rules_by_head =
-      PruneRules(program, &result.pruned_rules);
+  // Prune first, so the recursion check below is "modulo redundancy":
+  // the sweep's subsumed rules make the dependency graph spuriously cyclic.
+  DatalogProgram pruned = program;
+  result.pruned_rules = PruneRedundantRules(&pruned);
+  std::map<uint32_t, std::vector<const DatalogRule*>> rules_by_head;
+  for (const DatalogRule& r : pruned.rules) {
+    rules_by_head[r.head.rel].push_back(&r);
+  }
 
   // Non-recursiveness: the goal's derived-relation dependency graph must
   // be a DAG; only then does the fixpoint collapse into a finite UCQ.

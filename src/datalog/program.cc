@@ -1,11 +1,32 @@
 #include "datalog/program.h"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "query/cq.h"
+
 namespace gfomq {
+
+namespace {
+
+/// The body of a rule viewed as a CQ with the head arguments as answer
+/// variables (the shape both sides of the subsumption test need).
+Cq RuleBodyCq(const DatalogRule& rule, const SymbolsPtr& symbols) {
+  Cq cq;
+  cq.symbols = symbols;
+  cq.num_vars = rule.num_vars;
+  cq.answer_vars = rule.head.vars;
+  cq.atoms.reserve(rule.body.size());
+  for (const DatalogAtom& b : rule.body) {
+    cq.atoms.push_back(CqAtom{b.rel, b.vars});
+  }
+  return cq;
+}
+
+}  // namespace
 
 bool DatalogProgram::IsPlainDatalog() const {
   for (const DatalogRule& r : rules) {
@@ -64,6 +85,59 @@ std::string DatalogProgram::ToString() const {
     out << ";\n";
   }
   return out.str();
+}
+
+size_t PruneRedundantRules(DatalogProgram* program) {
+  std::vector<DatalogRule>& rules = program->rules;
+  std::map<uint32_t, std::vector<size_t>> by_head;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    by_head[rules[i].head.rel].push_back(i);
+  }
+  std::vector<bool> keep(rules.size(), true);
+  size_t pruned = 0;
+  for (auto& [rel, group] : by_head) {
+    // Generalizers tend to have smaller bodies; scanning them first makes
+    // the keep-first pass prune maximally (ties keep the earlier rule, so
+    // mutually-subsuming equivalents never both vanish).
+    std::stable_sort(group.begin(), group.end(), [&](size_t a, size_t b) {
+      return rules[a].body.size() < rules[b].body.size();
+    });
+    std::vector<Cq> kept_cqs;  // ≠-free kept rules, as subsumer CQs
+    for (size_t i : group) {
+      const DatalogRule& r = rules[i];
+      bool redundant = false;
+      for (const DatalogAtom& b : r.body) {
+        if (b.rel == r.head.rel && b.vars == r.head.vars) {
+          redundant = true;  // tautology
+          break;
+        }
+      }
+      if (!redundant && !kept_cqs.empty()) {
+        Instance db = RuleBodyCq(r, program->symbols).CanonicalDb();
+        std::vector<ElemId> tuple(r.head.vars.begin(), r.head.vars.end());
+        for (const Cq& k : kept_cqs) {
+          if (k.HasAnswer(db, tuple)) {
+            redundant = true;
+            break;
+          }
+        }
+      }
+      if (redundant) {
+        keep[i] = false;
+        ++pruned;
+      } else if (r.neq.empty()) {
+        kept_cqs.push_back(RuleBodyCq(r, program->symbols));
+      }
+    }
+  }
+  size_t next = 0;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    if (!keep[i]) continue;
+    if (next != i) rules[next] = std::move(rules[i]);
+    ++next;
+  }
+  rules.resize(next);
+  return pruned;
 }
 
 Result<DatalogProgram> ParseDatalog(const std::string& text,

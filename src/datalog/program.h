@@ -50,6 +50,22 @@ struct DatalogProgram {
 Result<DatalogProgram> ParseDatalog(const std::string& text,
                                     SymbolsPtr symbols);
 
+/// Fixpoint-preserving rule pruning; returns the number of rules dropped.
+/// Rule r is redundant when (a) its head atom already occurs in its body (a
+/// tautology derives nothing), or (b) another ≠-free rule r' with the same
+/// head relation *subsumes* it: a homomorphism from r''s body into r's body
+/// carrying r''s head arguments onto r's — then whenever r fires, r'
+/// already derived the same fact, so dropping r leaves the fixpoint
+/// unchanged on every database. (r itself may carry ≠: its ≠ constraints
+/// only restrict when it fires, which only helps.) Surviving rules keep
+/// their relative order.
+///
+/// The configuration-sweep rewriting emits many such rules (e.g.
+/// A(x) ← R(x,y) ∧ A(y) next to the more general A(x) ← R(x,y)): they
+/// cost every fixpoint round a dispatch, and they make the dependency
+/// graph *spuriously* cyclic for the FO unfolding.
+size_t PruneRedundantRules(DatalogProgram* program);
+
 }  // namespace gfomq
 
 #endif  // GFOMQ_DATALOG_PROGRAM_H_

@@ -257,6 +257,9 @@ Result<RewriteResult> RewriteToDatalog(const Ontology& ontology,
         });
   }
 
+  if (options.prune_redundant_rules) {
+    result.pruned_rules = PruneRedundantRules(&prog);
+  }
   Status v = prog.Validate();
   if (!v.ok()) return v;
   result.cache = solver->cache_stats();

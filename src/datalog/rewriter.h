@@ -19,6 +19,10 @@ struct RewriterOptions {
   /// complete, more expensive). Diagonal binaries on single elements are
   /// always included.
   bool binary_decorations = true;
+  /// Drop redundant rules from the finished program (PruneRedundantRules).
+  /// The fixpoint is unchanged on every database; off only to obtain the
+  /// raw sweep as a differential reference.
+  bool prune_redundant_rules = true;
   CertainOptions certain;
   /// Bounds for the follow-on UCQ unfolding (RewriteToUcq) when a caller
   /// probes the FO-rewritability fast path.
@@ -29,6 +33,8 @@ struct RewriterOptions {
 struct RewriteResult {
   DatalogProgram program;
   size_t configurations_explored = 0;
+  /// Rules of the raw sweep that PruneRedundantRules dropped.
+  size_t pruned_rules = 0;
   /// True if decoration pools had to be truncated (the program is then
   /// still sound but may be incomplete even on Horn inputs).
   bool truncated = false;
@@ -53,6 +59,11 @@ struct RewriteResult {
 /// also propagates disjunctive information — is intentionally not replicated,
 /// as its predicate space is doubly exponential. Tests validate soundness on
 /// random inputs and completeness on Horn inputs.
+///
+/// The sweep emits many subsumed rules; the returned program is pruned of
+/// them (RewriterOptions::prune_redundant_rules), so every consumer — the
+/// serving views, the FO unfolding, OmqEngine — gets the same fixpoint from
+/// a fraction of the rules.
 Result<RewriteResult> RewriteToDatalog(const Ontology& ontology,
                                        const Ucq& query,
                                        RewriterOptions options = {});

@@ -17,7 +17,7 @@ std::atomic<uint64_t> g_next_plan_id{1};
 PlannerStats& PlannerStats::operator+=(const PlannerStats& o) {
   for (size_t i = 0; i < kNumPlanBackends; ++i) {
     chosen[i] += o.chosen[i];
-    latency_samples[i] += o.latency_samples[i];
+    answers_computed[i] += o.answers_computed[i];
   }
   truncated_fallbacks += o.truncated_fallbacks;
   fo_built += o.fo_built;
@@ -178,42 +178,29 @@ Result<std::shared_ptr<const CompiledQuery>> OmqPlan::BuildQuery(
     return std::shared_ptr<const CompiledQuery>(std::move(compiled));
   }
 
-  // Cost-based choice among the complete candidates.
+  // The first complete candidate in the planner's preference order.
   PlannerInputs in;
-  in.ontology_sentences = ontology().sentences.size();
   in.ptime_complete = ptime_ == Certainty::kYes;
   FoRewriteResult fo;
   if (in.ptime_complete) {
     Status s = BuildRewrite(query, compiled.get());
     if (!s.ok()) return s;
-    in.rewrite_rules = compiled->program.rules.size();
-    in.configurations_explored = compiled->configurations_explored;
     in.rewrite_truncated = compiled->truncated;
     if (!compiled->truncated) {
       fo = RewriteToUcq(compiled->program, EdbRels(query),
                         options_.engine.rewriter.fo);
-      if (fo.ok) {
-        fo_built_.fetch_add(1, std::memory_order_relaxed);
-        in.fo_ok = true;
-        in.fo_disjuncts = fo.ucq.disjuncts.size();
-        for (const Cq& d : fo.ucq.disjuncts) in.fo_atoms += d.atoms.size();
-      } else {
-        fo_bailed_.fetch_add(1, std::memory_order_relaxed);
-      }
+      in.fo_ok = fo.ok;
+      (fo.ok ? fo_built_ : fo_bailed_)
+          .fetch_add(1, std::memory_order_relaxed);
     }
   }
   in.csp_eligible = CspEligible(query);
-  if (in.csp_eligible) {
-    in.template_elements = options_.csp_encoding->templ.NumElements();
-    in.template_facts = options_.csp_encoding->templ.NumFacts();
-  }
 
-  PlannerDecision decision = ChooseBackend(in, cost_model_);
+  PlannerDecision decision = ChooseBackend(in);
   if (decision.truncated_fallback) {
     truncated_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
   compiled->backend = decision.backend;
-  compiled->planner_cost = decision.score;
   if (decision.backend == PlanBackend::kFoRewrite) {
     compiled->fo_disjuncts = fo.ucq.disjuncts.size();
     compiled->fo_compiled =
@@ -282,16 +269,12 @@ std::set<std::vector<ElemId>> OmqPlan::CspSatAnswers(
   return out;
 }
 
-void OmqPlan::RecordAnswerLatency(PlanBackend b, double micros) {
-  cost_model_.Record(b, micros);
-}
-
 PlannerStats OmqPlan::planner_stats() const {
   PlannerStats s;
   for (size_t i = 0; i < kNumPlanBackends; ++i) {
     s.chosen[i] = chosen_[i].load(std::memory_order_relaxed);
-    s.latency_samples[i] =
-        cost_model_.Samples(static_cast<PlanBackend>(i));
+    s.answers_computed[i] =
+        answers_computed_[i].load(std::memory_order_relaxed);
   }
   s.truncated_fallbacks =
       truncated_fallbacks_.load(std::memory_order_relaxed);

@@ -24,13 +24,13 @@ namespace gfomq::serve {
 
 /// A per-(ontology, query) compiled artifact, interned inside its plan and
 /// shared (immutable) across every session serving that OMQ. The backend
-/// is chosen *per query* by the cost-based planner (see planner.h) unless
-/// the plan pins one via PlanOptions::force_backend.
+/// is chosen *per query* by the planner (see planner.h) unless the plan
+/// pins one via PlanOptions::force_backend.
 struct CompiledQuery {
   Ucq query;
   PlanBackend backend;
-  /// Valid when backend == kDatalogRewrite: the Datalog(≠) rewriting whose
-  /// goal relation holds exactly the certain answers.
+  /// Valid when backend == kDatalogRewrite: the (pruned) Datalog(≠)
+  /// rewriting whose goal relation holds exactly the certain answers.
   DatalogProgram program;
   size_t configurations_explored = 0;
   bool truncated = false;
@@ -42,14 +42,12 @@ struct CompiledQuery {
   /// Valid when backend == kCspSat: the query precompiled for base
   /// matching (the consistent-case answer set; see OmqPlan::CspSatAnswers).
   std::shared_ptr<const CompiledUcq> base_matcher;
-  /// The planner's winning score (EWMA or static estimate, pseudo-µs).
-  double planner_cost = 0;
 };
 
 /// Options for plan compilation.
 struct PlanOptions {
   EngineOptions engine;
-  /// Operator override: skip the cost-based choice and pin one backend for
+  /// Operator override: skip the planner's choice and pin one backend for
   /// every query (tests pin kDatalogRewrite to exercise incremental
   /// maintenance without paying a meta decision per random ontology).
   /// Pinning kFoRewrite or kCspSat fails query compilation when the query
@@ -88,7 +86,8 @@ struct PlannerStats {
   uint64_t fo_bailed = 0;  // recursion / ≠ / size bails
   uint64_t csp_solves = 0;
   uint64_t csp_inconsistent = 0;  // solves that found no homomorphism
-  uint64_t latency_samples[kNumPlanBackends] = {0, 0, 0, 0};
+  /// Answers computed (not served from a memo) per backend.
+  uint64_t answers_computed[kNumPlanBackends] = {0, 0, 0, 0};
 
   PlannerStats& operator+=(const PlannerStats& o);
 };
@@ -96,8 +95,7 @@ struct PlannerStats {
 /// The compiled serving artifact for one ontology: classified exactly once
 /// (OmqEngine::Classify memoizes the Theorem 13 meta decision), owning the
 /// shared tableau solver (and through it the process-wide ConsistencyCache
-/// traffic of its sessions), the per-backend latency cost model, and the
-/// interned compiled queries. Plans are immutable after compilation except
+/// traffic of its sessions) and the interned compiled queries. Plans are immutable after compilation except
 /// for the query-compilation memo and the planner counters, which are
 /// internally synchronized — many driver threads compile and share queries
 /// concurrently.
@@ -136,10 +134,12 @@ class OmqPlan {
   /// signature (then consistent-case certain answers = base matches).
   bool CspEligible(const Ucq& query) const;
 
-  /// Sessions report measured answer latencies here; the planner's EWMAs
-  /// steer later compilations of this plan.
-  void RecordAnswerLatency(PlanBackend b, double micros);
-  const BackendCostModel& cost_model() const { return cost_model_; }
+  /// Sessions count every computed (non-memo) answer here, per backend.
+  /// Observability only: the planner's choice never depends on it.
+  void CountAnswer(PlanBackend b) {
+    answers_computed_[static_cast<size_t>(b)].fetch_add(
+        1, std::memory_order_relaxed);
+  }
 
   PlannerStats planner_stats() const;
 
@@ -174,7 +174,7 @@ class OmqPlan {
   bool csp_encoding_matches_ = false;
   std::unique_ptr<CspSatSolver> csp_sat_;
 
-  BackendCostModel cost_model_;
+  std::atomic<uint64_t> answers_computed_[kNumPlanBackends] = {};
   std::atomic<uint64_t> chosen_[kNumPlanBackends] = {};
   std::atomic<uint64_t> truncated_fallbacks_{0};
   std::atomic<uint64_t> fo_built_{0};

@@ -1,12 +1,6 @@
 #include "serve/planner.h"
 
-#include <bit>
-
 namespace gfomq::serve {
-
-namespace {
-constexpr double kEwmaAlpha = 0.25;
-}  // namespace
 
 const char* BackendName(PlanBackend b) {
   switch (b) {
@@ -22,83 +16,19 @@ const char* BackendName(PlanBackend b) {
   return "?";
 }
 
-void BackendCostModel::Record(PlanBackend b, double micros) {
-  Cell& cell = cells_[static_cast<size_t>(b)];
-  uint64_t first = cell.samples.fetch_add(1, std::memory_order_relaxed);
-  uint64_t old_bits = cell.bits.load(std::memory_order_relaxed);
-  for (;;) {
-    double old_val = std::bit_cast<double>(old_bits);
-    double next = first == 0 ? micros
-                             : old_val + kEwmaAlpha * (micros - old_val);
-    if (cell.bits.compare_exchange_weak(old_bits,
-                                        std::bit_cast<uint64_t>(next),
-                                        std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
-double BackendCostModel::Ewma(PlanBackend b) const {
-  return std::bit_cast<double>(
-      cells_[static_cast<size_t>(b)].bits.load(std::memory_order_relaxed));
-}
-
-uint64_t BackendCostModel::Samples(PlanBackend b) const {
-  return cells_[static_cast<size_t>(b)].samples.load(
-      std::memory_order_relaxed);
-}
-
-double BackendCostModel::Score(PlanBackend b, double static_cost) const {
-  return Samples(b) > 0 ? Ewma(b) : static_cost;
-}
-
-double StaticBackendCost(PlanBackend b, const PlannerInputs& in) {
-  switch (b) {
-    case PlanBackend::kFoRewrite:
-      // A few index probes per disjunct; no state to maintain.
-      return 5.0 + 2.0 * static_cast<double>(in.fo_disjuncts) +
-             static_cast<double>(in.fo_atoms);
-    case PlanBackend::kDatalogRewrite:
-      // Fixpoint scans scale with the rule count; deltas add maintenance.
-      return 20.0 + 2.0 * static_cast<double>(in.rewrite_rules);
-    case PlanBackend::kCspSat:
-      // CNF size is input-proportional with a template-sized colour set.
-      return 50.0 + static_cast<double>(in.template_elements *
-                                        in.template_elements) +
-             static_cast<double>(in.template_facts);
-    case PlanBackend::kTableau:
-      // A chase per uncached revision dominates everything above.
-      return 1000.0 * (1.0 + static_cast<double>(in.ontology_sentences));
-  }
-  return 1e18;
-}
-
-PlannerDecision ChooseBackend(const PlannerInputs& in,
-                              const BackendCostModel& model) {
+PlannerDecision ChooseBackend(const PlannerInputs& in) {
   PlannerDecision decision;
   const bool datalog_complete = in.ptime_complete && !in.rewrite_truncated;
   decision.truncated_fallback = in.ptime_complete && in.rewrite_truncated;
-
-  std::vector<PlanBackend> candidates;
   if (datalog_complete && in.fo_ok) {
-    candidates.push_back(PlanBackend::kFoRewrite);
+    decision.considered.push_back(PlanBackend::kFoRewrite);
   }
-  if (datalog_complete) candidates.push_back(PlanBackend::kDatalogRewrite);
-  if (in.csp_eligible) candidates.push_back(PlanBackend::kCspSat);
-  candidates.push_back(PlanBackend::kTableau);
-
-  bool first = true;
-  for (PlanBackend b : candidates) {
-    BackendScore s{b, StaticBackendCost(b, in), 0};
-    s.score = model.Score(b, s.static_cost);
-    decision.considered.push_back(s);
-    // Strict < keeps the enum (= expected-cost) order as the tie-break.
-    if (first || s.score < decision.score) {
-      decision.backend = b;
-      decision.score = s.score;
-      first = false;
-    }
+  if (datalog_complete) {
+    decision.considered.push_back(PlanBackend::kDatalogRewrite);
   }
+  if (in.csp_eligible) decision.considered.push_back(PlanBackend::kCspSat);
+  decision.considered.push_back(PlanBackend::kTableau);
+  decision.backend = decision.considered.front();
   return decision;
 }
 

@@ -1,15 +1,13 @@
 #ifndef GFOMQ_SERVE_PLANNER_H_
 #define GFOMQ_SERVE_PLANNER_H_
 
-#include <array>
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 namespace gfomq::serve {
 
-/// The serving backends, ordered by expected cost (the planner's
-/// tie-break). Each is *complete* on its eligible inputs:
+/// The serving backends, in the planner's fixed preference order. Each is
+/// *complete* on its eligible inputs:
 ///  - kFoRewrite: non-recursive UCQ unfolding of the Datalog rewriting,
 ///    answered by indexed homomorphism matching — eligible when the
 ///    ontology is PTIME, the rewriting is untruncated and RewriteToUcq
@@ -28,70 +26,29 @@ inline constexpr size_t kNumPlanBackends = 4;
 
 const char* BackendName(PlanBackend b);
 
-/// Compile-time facts the planner scores candidates with.
+/// Compile-time facts that decide which backends are eligible.
 struct PlannerInputs {
   bool ptime_complete = false;    // meta decision (or caller) says PTIME
   bool rewrite_truncated = false; // decoration pools truncated → incomplete
-  size_t rewrite_rules = 0;
-  size_t configurations_explored = 0;
   bool fo_ok = false;             // RewriteToUcq closed
-  size_t fo_disjuncts = 0;
-  size_t fo_atoms = 0;            // total atoms across disjuncts
   bool csp_eligible = false;
-  size_t template_elements = 0;
-  size_t template_facts = 0;
-  size_t ontology_sentences = 0;
-};
-
-/// Per-backend latency EWMAs, persisted in the plan and updated by the
-/// sessions after every answered query (lock-free; doubles stored as
-/// bit-cast words).
-class BackendCostModel {
- public:
-  /// Folds one observed answer latency into the backend's EWMA.
-  void Record(PlanBackend b, double micros);
-
-  /// Current EWMA (0 when no sample has been recorded).
-  double Ewma(PlanBackend b) const;
-  uint64_t Samples(PlanBackend b) const;
-
-  /// The planner's score: the measured EWMA once the backend has run,
-  /// else the compile-time static estimate.
-  double Score(PlanBackend b, double static_cost) const;
-
- private:
-  struct Cell {
-    std::atomic<uint64_t> bits{0};     // bit-cast double
-    std::atomic<uint64_t> samples{0};
-  };
-  std::array<Cell, kNumPlanBackends> cells_;
-};
-
-/// Compile-time cost estimate in pseudo-microseconds. The constants only
-/// need to induce the right *order* (FO < datalog < CSP/SAT < tableau for
-/// same-sized inputs); measured EWMAs take over after the first answers.
-double StaticBackendCost(PlanBackend b, const PlannerInputs& in);
-
-struct BackendScore {
-  PlanBackend backend;
-  double static_cost = 0;
-  double score = 0;
 };
 
 struct PlannerDecision {
   PlanBackend backend = PlanBackend::kTableau;
-  double score = 0;
   /// True when a PTIME verdict could not be served by datalog/FO because
   /// the rewriting was truncated (surfaced as plan stats — the bugfix this
   /// planner bakes in: truncated programs never serve).
   bool truncated_fallback = false;
-  std::vector<BackendScore> considered;
+  /// The eligible backends, in preference order (the first one wins).
+  std::vector<PlanBackend> considered;
 };
 
-/// Picks the cheapest *complete* backend for one compiled query. The
-/// tableau is always a candidate, so the decision always exists.
-PlannerDecision ChooseBackend(const PlannerInputs& in,
-                              const BackendCostModel& model);
+/// Picks the first eligible *complete* backend in the fixed order
+/// FO > datalog > CSP/SAT > tableau. Every bench agrees with that order,
+/// and a fixed order never mixes measured latencies with guessed costs.
+/// The tableau is always eligible, so the decision always exists.
+PlannerDecision ChooseBackend(const PlannerInputs& in);
 
 }  // namespace gfomq::serve
 

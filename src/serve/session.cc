@@ -1,17 +1,8 @@
 #include "serve/session.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace gfomq::serve {
-
-namespace {
-double MicrosSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-}  // namespace
 
 Session::Session(std::shared_ptr<OmqPlan> plan)
     : plan_(std::move(plan)), base_(plan_->ontology().symbols) {}
@@ -32,7 +23,7 @@ Result<bool> Session::Assert(const Fact& f) {
     return false;
   }
   base_.AddFact(f);
-  log_.emplace_back(true, f);
+  if (live_datalog_views_ > 0) log_.emplace_back(true, f);
   ++stats_.asserts;
   return true;
 }
@@ -42,7 +33,7 @@ Result<bool> Session::Retract(const Fact& f) {
     ++stats_.noop_deltas;
     return false;
   }
-  log_.emplace_back(false, f);
+  if (live_datalog_views_ > 0) log_.emplace_back(false, f);
   ++stats_.retracts;
   return true;
 }
@@ -83,11 +74,30 @@ void Session::MirrorNewElements(Instance* target) const {
   }
 }
 
+const DatalogStats* Session::datalog_stats(const std::string& name) const {
+  auto it = views_.find(name);
+  if (it == views_.end() || !it->second.engine) return nullptr;
+  return &it->second.engine->stats();
+}
+
+void Session::TrimLog() {
+  size_t folded = log_.size();
+  for (const auto& [name, view] : views_) {
+    if (view.initialized) folded = std::min(folded, view.synced_pos);
+  }
+  if (folded == 0) return;
+  log_.erase(log_.begin(), log_.begin() + static_cast<int64_t>(folded));
+  for (auto& [name, view] : views_) {
+    if (view.initialized) view.synced_pos -= folded;
+  }
+}
+
 void Session::SyncView(View* view) {
   if (!view->initialized) {
     view->materialized = view->engine->Evaluate(base_);
     view->initialized = true;
     view->synced_pos = log_.size();
+    ++live_datalog_views_;
     ++stats_.full_evaluations;
     return;
   }
@@ -111,6 +121,7 @@ void Session::SyncView(View* view) {
     if (!now && before) net_deleted.push_back(fact);
   }
   view->synced_pos = log_.size();
+  TrimLog();
   MirrorNewElements(&view->materialized);
 
   if (net_deleted.empty()) {
@@ -128,20 +139,27 @@ void Session::SyncView(View* view) {
   }
 
   // DRed: overdelete everything transitively supported by a retracted
-  // fact (survivors of the base are pinned), then rederive — one delta
-  // pass seeded with every surviving fact restores alternative
-  // derivations, landing exactly on the from-scratch fixpoint.
+  // fact (survivors of the base are pinned), rederive the overdeleted
+  // facts that still have a one-step derivation, then one delta pass
+  // seeded with just the rederived and newly asserted facts lands exactly
+  // on the from-scratch fixpoint — the work tracks the change, not the
+  // view.
+  Instance& db = view->materialized;
   std::set<Fact> overdeleted =
-      view->engine->OverdeleteClosure(view->materialized, net_deleted, base_);
-  for (const Fact& f : overdeleted) view->materialized.RemoveFact(f);
+      view->engine->OverdeleteClosure(db, net_deleted, base_);
+  for (const Fact& f : overdeleted) db.RemoveFact(f);
   stats_.overdeleted_facts += overdeleted.size();
-  for (const Fact& f : net_added) view->materialized.AddFact(f);
-  size_t before = view->materialized.NumFacts();
   std::vector<Fact> seed;
-  seed.reserve(before);
-  for (const Fact& f : view->materialized.facts()) seed.push_back(f);
-  view->engine->SaturateDelta(&view->materialized, seed);
-  stats_.rederived_facts += view->materialized.NumFacts() - before;
+  for (const Fact& f : net_added) {
+    if (db.AddFact(f)) seed.push_back(f);
+  }
+  const size_t before = db.NumFacts();
+  for (Fact& f : view->engine->Rederive(db, overdeleted)) {
+    db.AddFact(f);
+    seed.push_back(std::move(f));
+  }
+  view->engine->SaturateDelta(&db, seed);
+  stats_.rederived_facts += db.NumFacts() - before;
   ++stats_.dred_rounds;
 }
 
@@ -156,8 +174,9 @@ Result<std::set<std::vector<ElemId>>> Session::Answers(
   if (backend == PlanBackend::kDatalogRewrite) {
     if (view.initialized && view.synced_pos == log_.size()) {
       ++stats_.answer_cache_hits;
+    } else {
+      plan_->CountAnswer(backend);
     }
-    auto t0 = std::chrono::steady_clock::now();
     SyncView(&view);
     std::set<std::vector<ElemId>> out;
     int64_t goal = view.compiled->program.goal_rel;
@@ -167,7 +186,6 @@ Result<std::set<std::vector<ElemId>>> Session::Answers(
         out.insert(f->args);
       }
     }
-    plan_->RecordAnswerLatency(backend, MicrosSince(t0));
     return out;
   }
 
@@ -176,7 +194,7 @@ Result<std::set<std::vector<ElemId>>> Session::Answers(
     ++stats_.answer_cache_hits;
     return view.answers;
   }
-  auto t0 = std::chrono::steady_clock::now();
+  plan_->CountAnswer(backend);
   switch (backend) {
     case PlanBackend::kTableau:
       view.answers =
@@ -194,7 +212,6 @@ Result<std::set<std::vector<ElemId>>> Session::Answers(
     case PlanBackend::kDatalogRewrite:
       break;  // handled above
   }
-  plan_->RecordAnswerLatency(backend, MicrosSince(t0));
   view.answers_revision = base_.revision();
   view.has_answers = true;
   return view.answers;

@@ -36,13 +36,16 @@ struct SessionStats {
 /// per registered query, kept consistent with the base *incrementally*:
 ///
 ///  - On a Datalog-backed plan, each view holds the fixpoint of the
-///    query's rewriting over the base. Asserts extend it by semi-naive
-///    delta saturation (DatalogEngine::SaturateDelta — the PR-2
-///    by-relation dispatch, seeded with just the new facts); retractions
+///    query's (pruned) rewriting over the base. Asserts extend it by
+///    semi-naive delta saturation (DatalogEngine::SaturateDelta, the
+///    by-relation dispatch seeded with just the new facts); retractions
 ///    run DRed: overdelete the closure of the retracted facts
-///    (DatalogEngine::OverdeleteClosure), then rederive survivors with one
-///    delta pass. Views sync lazily, on Answers(), so a burst of deltas
-///    costs one maintenance round.
+///    (DatalogEngine::OverdeleteClosure), rederive the overdeleted facts
+///    that keep a one-step derivation (DatalogEngine::Rederive), then one
+///    delta pass seeded with only the rederived and newly asserted facts.
+///    Maintenance cost follows the change, not the view. Views sync
+///    lazily, on Answers(), so a burst of deltas costs one maintenance
+///    round.
 ///  - On a tableau-backed plan, answers are memoized per base revision
 ///    (Instance::revision() is the validity token) and recomputed through
 ///    the plan's shared solver — whose ConsistencyCache carries most of
@@ -55,8 +58,8 @@ struct SessionStats {
 ///    test decides consistency, then answers come from base matching (or
 ///    the full domain product when inconsistent).
 ///
-/// Every computed (non-memo-hit) answer's latency is reported to the
-/// plan's cost model, so the planner's EWMAs track reality.
+/// Every computed (non-memo-hit) answer is counted in the plan's
+/// PlannerStats::answers_computed, per backend.
 ///
 /// Sessions are NOT thread-safe; the serving driver serializes calls per
 /// session (distinct sessions run concurrently and share only the plan's
@@ -93,6 +96,14 @@ class Session {
   std::vector<std::string> QueryNames() const;
   const SessionStats& stats() const { return stats_; }
 
+  /// The named Datalog view's engine counters (accumulated over its
+  /// maintenance rounds); null for unknown names and other backends.
+  const DatalogStats* datalog_stats(const std::string& name) const;
+
+  /// Delta-log entries not yet folded into every initialized Datalog view.
+  /// Stays 0 on sessions without one: only those views read the log.
+  size_t log_size() const { return log_.size(); }
+
  private:
   struct View {
     std::shared_ptr<const CompiledQuery> compiled;
@@ -114,14 +125,19 @@ class Session {
   /// Brings a Datalog view's element table and fixpoint up to date with
   /// the base (lazy delta fold).
   void SyncView(View* view);
+  /// Erases the log prefix that every initialized view has folded.
+  void TrimLog();
   void MirrorNewElements(Instance* target) const;
 
   std::shared_ptr<OmqPlan> plan_;
   Instance base_;
-  // Every successful base transition, in order (no-ops are not logged).
-  // Views fold the suffix they have not seen; net effects are computed per
+  // Every successful base transition since the oldest unfolded one, in
+  // order (no-ops are not logged), recorded only while an initialized
+  // Datalog view exists — a view initializes from the base itself. Views
+  // fold the suffix they have not seen; net effects are computed per
   // fact, so assert/retract churn between two syncs cancels.
   std::vector<std::pair<bool, Fact>> log_;  // (is_assert, fact)
+  size_t live_datalog_views_ = 0;  // initialized Datalog views
   std::map<std::string, View> views_;
   SessionStats stats_;
 };

@@ -370,44 +370,57 @@ TEST(PlannerTest, ForceBackendStillOverrides) {
   EXPECT_FALSE(csp_plan->CompileQuery(MustUcq("q(x) :- B(x)", sym)).ok());
 }
 
-TEST(BackendCostModelTest, EwmaTracksObservedLatencies) {
-  BackendCostModel model;
-  EXPECT_EQ(model.Samples(PlanBackend::kFoRewrite), 0u);
-  EXPECT_DOUBLE_EQ(model.Score(PlanBackend::kFoRewrite, 42.0), 42.0);
-  model.Record(PlanBackend::kFoRewrite, 100.0);
-  EXPECT_DOUBLE_EQ(model.Ewma(PlanBackend::kFoRewrite), 100.0);
-  model.Record(PlanBackend::kFoRewrite, 200.0);
-  EXPECT_DOUBLE_EQ(model.Ewma(PlanBackend::kFoRewrite), 125.0);  // α = 0.25
-  // Once sampled, the measured EWMA replaces the static estimate.
-  EXPECT_DOUBLE_EQ(model.Score(PlanBackend::kFoRewrite, 42.0), 125.0);
-  EXPECT_EQ(model.Samples(PlanBackend::kTableau), 0u);
+// Regression: the planner once ranked backends by a measured latency EWMA
+// (real µs) where one existed and a static pseudo-µs guess elsewhere. With
+// the pruned rewriting, datalog's guess (20 + 2·rules) fell below FO's
+// measured ~185 µs, so once FO had answered, the next query compiled on the
+// same plan flipped to the fixpoint backend.
+TEST(PlannerTest, MeasuredLatencyNeverFlipsFoToDatalog) {
+  SymbolsPtr sym = MakeSymbols();
+  Ontology onto = MustOntology(
+      "forall x, y (R(x,y) -> A(x)); forall x . (A(x) -> B(x));", sym);
+  auto plan = MustPlan(onto, Assume(Certainty::kYes));
+  Session session(plan);
+  ASSERT_TRUE(session.RegisterQuery("q", MustUcq("q(x) :- B(x)", sym)).ok());
+  ElemId a = session.AddConstant("a");
+  ElemId b = session.AddConstant("b");
+  ASSERT_TRUE(session.Assert(Fact{sym->Rel("R", 2), {a, b}}).ok());
+  ASSERT_TRUE(session.Answers("q").ok());
+  for (int i = 0; i < 10; ++i) plan->CountAnswer(PlanBackend::kFoRewrite);
+  const size_t fo = static_cast<size_t>(PlanBackend::kFoRewrite);
+  EXPECT_EQ(plan->planner_stats().answers_computed[fo], 11u);
+
+  auto second = plan->CompileQuery(MustUcq("q(y) :- A(y)", sym));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ((*second)->backend, PlanBackend::kFoRewrite);
+  EXPECT_EQ(plan->planner_stats().chosen[fo], 2u);
 }
 
 TEST(PlannerTest, ChooseBackendPrefersCompleteCheapest) {
-  BackendCostModel model;
   PlannerInputs in;
-  in.ontology_sentences = 2;
   in.ptime_complete = true;
   in.fo_ok = true;
-  in.fo_disjuncts = 3;
-  in.fo_atoms = 4;
-  in.rewrite_rules = 10;
-  PlannerDecision d = ChooseBackend(in, model);
+  in.csp_eligible = true;
+  PlannerDecision d = ChooseBackend(in);
   EXPECT_EQ(d.backend, PlanBackend::kFoRewrite);
   EXPECT_FALSE(d.truncated_fallback);
+  EXPECT_EQ(d.considered,
+            (std::vector<PlanBackend>{
+                PlanBackend::kFoRewrite, PlanBackend::kDatalogRewrite,
+                PlanBackend::kCspSat, PlanBackend::kTableau}));
+
+  // A recursive rewriting leaves datalog first.
+  in.fo_ok = false;
+  EXPECT_EQ(ChooseBackend(in).backend, PlanBackend::kDatalogRewrite);
 
   // Truncation removes datalog AND fo from the candidate set.
+  in.fo_ok = true;
   in.rewrite_truncated = true;
-  d = ChooseBackend(in, model);
-  EXPECT_EQ(d.backend, PlanBackend::kTableau);
+  d = ChooseBackend(in);
+  EXPECT_EQ(d.backend, PlanBackend::kCspSat);
   EXPECT_TRUE(d.truncated_fallback);
-
-  // A recorded tableau latency cheaper than the FO estimate flips the
-  // choice: measured beats static.
-  in.rewrite_truncated = false;
-  model.Record(PlanBackend::kTableau, 1.0);
-  d = ChooseBackend(in, model);
-  EXPECT_EQ(d.backend, PlanBackend::kTableau);
+  in.csp_eligible = false;
+  EXPECT_EQ(ChooseBackend(in).backend, PlanBackend::kTableau);
 }
 
 // ---------------------------------------------------------------------------
@@ -573,8 +586,7 @@ TEST(PlannerConcurrencyTest, SharedPlanCompilesAndRecordsConcurrently) {
       for (int i = 0; i < 25; ++i) {
         auto compiled = plan->CompileQuery(q);
         EXPECT_TRUE(compiled.ok());
-        plan->RecordAnswerLatency((*compiled)->backend,
-                                  static_cast<double>(i + 1));
+        plan->CountAnswer((*compiled)->backend);
         ASSERT_TRUE(session.Assert(Fact{rel_b, {e}}).ok());
         auto answers = session.Answers("q");
         ASSERT_TRUE(answers.ok());
@@ -585,7 +597,9 @@ TEST(PlannerConcurrencyTest, SharedPlanCompilesAndRecordsConcurrently) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_GE(plan->cost_model().Samples(PlanBackend::kFoRewrite), 1u);
+  EXPECT_GE(plan->planner_stats()
+                .answers_computed[static_cast<size_t>(PlanBackend::kFoRewrite)],
+            1u);
 }
 
 }  // namespace

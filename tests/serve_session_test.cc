@@ -268,6 +268,92 @@ TEST(ServeSessionTest, RetractingDerivableFactKeepsItCertain) {
   EXPECT_EQ(*got, Scratch(**compiled, session.db()));
 }
 
+// DRed locality: a retraction in a small component must cost work
+// proportional to that component, not to the whole view (the rederive step
+// used to re-seed semi-naive evaluation with every fact of the view).
+TEST(ServeSessionTest, RetractionWorkStaysInTheTouchedComponent) {
+  SymbolsPtr sym = MakeSymbols();
+  auto plan = MustCompile(
+      "forall x . (A0(x) -> A1(x)); "
+      "forall x, y (R(x,y) -> (A1(x) -> A1(y)));",
+      sym, Pinned(PlanBackend::kDatalogRewrite));
+  Ucq q = MustUcq("q(x) :- A1(x)", sym);
+  auto compiled = plan->CompileQuery(q);
+  ASSERT_TRUE(compiled.ok());
+  Session session(plan);
+  ASSERT_TRUE(session.RegisterQuery("q", q).ok());
+  uint32_t R = static_cast<uint32_t>(sym->FindRel("R"));
+  uint32_t A0 = static_cast<uint32_t>(sym->FindRel("A0"));
+  // A 300-element chain and, disconnected from it, a 3-element chain.
+  auto chain = [&](const std::string& prefix, int n) {
+    std::vector<ElemId> es;
+    for (int i = 0; i < n; ++i) {
+      es.push_back(session.AddConstant(prefix + std::to_string(i)));
+    }
+    session.Assert(Fact{A0, {es[0]}});
+    for (int i = 0; i + 1 < n; ++i) session.Assert(Fact{R, {es[i], es[i + 1]}});
+    return es;
+  };
+  std::vector<ElemId> big = chain("b", 300);
+  std::vector<ElemId> small = chain("s", 3);
+  // A second, still-derivable support for the small chain's end.
+  session.Assert(Fact{A0, {small[2]}});
+  ASSERT_TRUE(session.Answers("q").ok());
+  const size_t view_facts =
+      DatalogEngine((*compiled)->program).Evaluate(session.db()).NumFacts();
+  EXPECT_GT(view_facts, 3 * big.size());
+  const DatalogStats* stats = session.datalog_stats("q");
+  ASSERT_NE(stats, nullptr);
+
+  for (const Fact& f : {Fact{R, {small[1], small[2]}}, Fact{A0, {small[2]}}}) {
+    const uint64_t attempts = stats->rule_attempts;
+    ASSERT_TRUE(*session.Retract(f));
+    auto got = session.Answers("q");
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, Scratch(**compiled, session.db()));
+    EXPECT_LT(stats->rule_attempts - attempts, view_facts / 10);
+  }
+  // The first retraction's overdeleted A1(s2) came back through A0(s2).
+  EXPECT_EQ(session.stats().dred_rounds, 2u);
+  EXPECT_GT(session.stats().rederived_facts, 0u);
+  EXPECT_FALSE(session.Answers("q")->count({small[2]}));
+}
+
+// The delta log exists only for Datalog views: FO sessions never append to
+// it, and a Datalog session trims it to the unfolded suffix on every sync.
+TEST(ServeSessionTest, DeltaLogStaysBounded) {
+  SymbolsPtr sym = MakeSymbols();
+  const std::string text =
+      "forall x, y (R(x,y) -> A(x)); forall x . (A(x) -> B(x));";
+  PlanOptions fo_opts;
+  fo_opts.assume_ptime = Certainty::kYes;
+  Ucq q = MustUcq("q(x) :- B(x)", sym);
+  Session fo(MustCompile(text, sym, fo_opts));
+  Session datalog(MustCompile(text, sym, Pinned(PlanBackend::kDatalogRewrite)));
+  for (Session* s : {&fo, &datalog}) ASSERT_TRUE(s->RegisterQuery("q", q).ok());
+  uint32_t A = static_cast<uint32_t>(sym->FindRel("A"));
+  for (int round = 0; round < 5; ++round) {
+    for (Session* s : {&fo, &datalog}) {
+      for (int i = 0; i < 20; ++i) {
+        ElemId e = s->AddConstant("e" + std::to_string(i));
+        ASSERT_TRUE(((i + round) % 2 ? s->Assert(Fact{A, {e}})
+                                     : s->Retract(Fact{A, {e}}))
+                        .ok());
+      }
+    }
+    // Before the Datalog view's first sync nothing reads the log.
+    EXPECT_EQ(datalog.log_size(), round == 0 ? 0u : 20u);
+    auto fo_answers = fo.Answers("q");
+    auto dl_answers = datalog.Answers("q");
+    ASSERT_TRUE(fo_answers.ok() && dl_answers.ok());
+    EXPECT_EQ(*fo_answers, *dl_answers);
+    EXPECT_EQ(fo.log_size(), 0u);
+    EXPECT_EQ(datalog.log_size(), 0u);
+  }
+  EXPECT_GT(fo.stats().fo_evaluations, 0u);  // the planner chose FO
+  EXPECT_GT(fo.stats().retracts, 0u);
+}
+
 TEST(ServeSessionTest, NoopDeltasAreCountedAndFree) {
   SymbolsPtr sym = MakeSymbols();
   auto plan = MustCompile("forall x . (A(x) -> B(x));", sym,
