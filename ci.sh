@@ -47,7 +47,11 @@
 # choose at least three distinct backends across the families. The planner
 # suites (FoRewriter/CompiledUcq/CspSat/Planner*) and the rule-pruning
 # fixpoint differential (DatalogPrune) join the asan batch and
-# PlannerConcurrency joins the tsan filter. Finally, when clang-tidy is
+# PlannerConcurrency joins the tsan filter. The probe-escalation
+# differential (EscalationDifferential: escalated verdicts vs the
+# full-tableau-only solver), the multi-pair ground-model check
+# (GroundModelsSatisfyTheOntology) and the meta-decision stats-delta test
+# join the asan batch too. Finally, when clang-tidy is
 # installed, the modernize/performance/bugprone profile in .clang-tidy
 # runs over src/logic and src/reasoner.
 set -euo pipefail
@@ -72,7 +76,7 @@ ctest --preset release -j "$JOBS" -L fuzz
 
 echo "=== [asan] differential suite (indexed vs naive reference) ==="
 ctest --preset asan -j "$JOBS" \
-  -R 'IndexedMatchesNaive|IndexedEngineMatchesNaive|RandomizedIndexMaintenance|SemiNaiveMatchesNaive|TableauDifferential|TableauParallel|TableauTrail|TableauFuzzTsan|ConsistencyCache|ServeSession|ServeDriver|BenchJson|Scheduler|FoRewriter|CompiledUcq|CspSat|Planner|DatalogPrune'
+  -R 'IndexedMatchesNaive|IndexedEngineMatchesNaive|RandomizedIndexMaintenance|SemiNaiveMatchesNaive|TableauDifferential|TableauParallel|TableauTrail|TableauFuzzTsan|ConsistencyCache|ServeSession|ServeDriver|BenchJson|Scheduler|FoRewriter|CompiledUcq|CspSat|Planner|DatalogPrune|EscalationDifferential|GroundModelsSatisfyTheOntology|MetaDecisionTableauStatsAreThisRunsOwn'
 
 echo "=== [release] scheduler tier (ctest -L scheduler) ==="
 ctest --preset release -j "$JOBS" -L scheduler

@@ -27,9 +27,9 @@ Result<OmqEngine> OmqEngine::Create(Ontology ontology, EngineOptions options) {
 Result<FoRewriteResult> OmqEngine::RewriteFo(const Ucq& query) {
   Result<RewriteResult> rewrite = Rewrite(query);
   if (!rewrite.ok()) return rewrite.status();
-  if (rewrite->truncated) {
-    // A truncated program may be incomplete; its unfolding would inherit
-    // that, so the fast path refuses outright.
+  if (rewrite->MaybeIncomplete()) {
+    // A truncated or undecided program may be incomplete; its unfolding
+    // would inherit that, so the fast path refuses outright.
     FoRewriteResult bail;
     bail.bail = FoRewriteResult::Bail::kTooLarge;
     return bail;

@@ -92,8 +92,9 @@ class OmqEngine {
 
   /// The FO-rewritability fast path: Datalog rewriting followed by the
   /// non-recursive UCQ unfolding (RewriteToUcq). Bails (ok == false) when
-  /// the rewriting is truncated, recursive, carries ≠, or unfolds past
-  /// the options' bounds — callers then stay on the fixpoint or tableau.
+  /// the rewriting may be incomplete (RewriteResult::MaybeIncomplete), is
+  /// recursive, carries ≠, or unfolds past the options' bounds — callers
+  /// then stay on the fixpoint or tableau.
   Result<FoRewriteResult> RewriteFo(const Ucq& query);
 
  private:

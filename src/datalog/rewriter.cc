@@ -184,8 +184,14 @@ Result<RewriteResult> RewriteToDatalog(const Ontology& ontology,
             }
             return body;
           };
+          // Every probe below emits its rule on kYes only; count the ones
+          // that stay undecided (a rule they may have dropped).
+          auto decided = [&](Certainty c) {
+            if (c == Certainty::kUnknown) ++result.undecided_probes;
+            return c;
+          };
           // Inconsistent configuration: emit incons#().
-          if (solver->IsConsistent(inst) == Certainty::kNo) {
+          if (decided(solver->IsConsistent(inst)) == Certainty::kNo) {
             DatalogRule r;
             r.num_vars = shape.k;
             r.body = body_of_config();
@@ -221,7 +227,8 @@ Result<RewriteResult> RewriteToDatalog(const Ontology& ontology,
               }
               atomic.atoms.push_back({rel, qvars});
               atomic.answer_vars = qvars;
-              if (solver->IsCertain(inst, atomic, tuple) == Certainty::kYes) {
+              if (decided(solver->IsCertain(inst, atomic, tuple)) ==
+                  Certainty::kYes) {
                 DatalogRule r;
                 r.num_vars = shape.k;
                 r.body = body_of_config();
@@ -237,7 +244,8 @@ Result<RewriteResult> RewriteToDatalog(const Ontology& ontology,
             size_t arity = d.answer_vars.size();
             std::vector<ElemId> tuple(arity, 0);
             for (;;) {
-              if (solver->IsCertain(inst, d, tuple) == Certainty::kYes) {
+              if (decided(solver->IsCertain(inst, d, tuple)) ==
+                  Certainty::kYes) {
                 DatalogRule r;
                 r.num_vars = shape.k;
                 r.body = body_of_config();

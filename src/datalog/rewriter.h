@@ -38,6 +38,14 @@ struct RewriteResult {
   /// True if decoration pools had to be truncated (the program is then
   /// still sound but may be incomplete even on Horn inputs).
   bool truncated = false;
+  /// Sweep probes (consistency or entailment) the reasoner left kUnknown.
+  /// The sweep emits a rule only on a kYes, so each undecided probe may
+  /// have dropped a rule: like `truncated`, a nonzero count means the
+  /// program is sound but possibly incomplete, and it must not be served
+  /// as the complete answer.
+  size_t undecided_probes = 0;
+  /// `truncated` or `undecided_probes`: Π(D) may miss certain answers.
+  bool MaybeIncomplete() const { return truncated || undecided_probes > 0; }
   /// Consistency-cache traffic of the configuration sweep (many
   /// configurations are isomorphic, so the hit rate is substantial).
   ConsistencyCacheStats cache;

@@ -329,22 +329,8 @@ MetaDecision DecidePtimeByBouquets(CertainAnswerSolver& solver,
   out.stats.cache.evictions = cache_after.evictions - cache_before.evictions;
   out.stats.cache.insertions =
       cache_after.insertions - cache_before.insertions;
-  const TableauStats tableau_after = solver.tableau_stats();
-  out.stats.tableau = tableau_after;
-  out.stats.tableau.steps -= tableau_before.steps;
-  out.stats.tableau.branches_opened -= tableau_before.branches_opened;
-  out.stats.tableau.branches_closed -= tableau_before.branches_closed;
-  out.stats.tableau.branches_saturated -= tableau_before.branches_saturated;
-  out.stats.tableau.guard_match_probes -= tableau_before.guard_match_probes;
-  out.stats.tableau.index_lookups -= tableau_before.index_lookups;
-  out.stats.tableau.relation_scans -= tableau_before.relation_scans;
-  out.stats.tableau.cow_copies -= tableau_before.cow_copies;
-  out.stats.tableau.tasks_spawned -= tableau_before.tasks_spawned;
-  out.stats.tableau.cancelled_branches -= tableau_before.cancelled_branches;
-  out.stats.tableau.sequential_cutoff_hits -=
-      tableau_before.sequential_cutoff_hits;
-  // peak_branch_depth / peak_live_tasks are watermarks, not tallies: the
-  // totals' peaks already bound this scan's, so they are kept as-is.
+  out.stats.tableau = solver.tableau_stats();
+  out.stats.tableau -= tableau_before;
   return out;
 }
 

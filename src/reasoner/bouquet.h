@@ -79,8 +79,10 @@ struct MetaSearchStats {
   uint64_t steals = 0;
   uint64_t wall_micros = 0;
   /// Consistency-cache and tableau activity during this run (deltas of the
-  /// solver's shared counters; diagnostics, not part of the verdict —
-  /// tableau.peak_branch_depth is the solver's lifetime peak).
+  /// solver's shared counters; diagnostics, not part of the verdict). Every
+  /// tableau tally is this run's own; the watermarks (peak_branch_depth,
+  /// peak_live_tasks) and budget_hit are the solver's lifetime values, see
+  /// TableauStats.
   ConsistencyCacheStats cache;
   TableauStats tableau;
   std::vector<MetaWorkerStats> per_worker;

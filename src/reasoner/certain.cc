@@ -1,10 +1,24 @@
 #include "reasoner/certain.h"
 
+#include <algorithm>
+
 namespace gfomq {
 
 namespace {
 
 std::atomic<uint64_t> g_next_solver_id{1};
+
+// Budget of the escalation's first, shallow tableau run: one fresh null per
+// input element, and a tenth of the default step budget. A probe the
+// tableau decides at all is almost always decided within that — a
+// terminating chase of an n-element instance typically needs about n
+// witnesses — while a probe on an existential cycle never is, and there a
+// small finite model (the next stage) is the cheap answer. A flat null
+// budget independent of the instance would push terminating chases of
+// larger instances through the finite-model search, whose grounding grows
+// with the domain; the step cap keeps a disjunction on every fresh null
+// from branching through the full step budget first.
+constexpr uint64_t kShallowSteps = 5000;
 
 // Tokenizes an element consistently with a CanonicalKey renaming:
 // elements that occur in facts keep their first-occurrence token, isolated
@@ -111,7 +125,7 @@ Certainty CertainAnswerSolver::ConsistencyImpl(const Instance& input,
                                                uint32_t ground_extra_nulls) {
   std::string key;
   if (options_.consistency_cache) {
-    // The budget and the ground-fallback strength are part of the key:
+    // The budget and the finite-model search's strength are in the key:
     // kYes/kNo verdicts are ground truth, but kUnknown depends on how hard
     // the procedures tried, and the cache must never upgrade or downgrade
     // a verdict across differently-budgeted probes.
@@ -123,25 +137,7 @@ Certainty CertainAnswerSolver::ConsistencyImpl(const Instance& input,
       return *hit;
     }
   }
-  Certainty verdict;
-  bool decided = false;
-  // Finding a model is what the ground solver is best at (GF has the
-  // finite-model property); try small finite models first.
-  if (ground_extra_nulls > 0) {
-    GroundSolver ground(rules_);
-    if (ground.CheckConsistency(input, ground_extra_nulls) ==
-        Certainty::kYes) {
-      verdict = Certainty::kYes;
-      decided = true;
-    }
-  }
-  if (!decided) {
-    // Only the tableau can prove inconsistency (all branches close).
-    Tableau tableau(rules_, budget, options_.naive_matching,
-                    options_.scheduler);
-    verdict = tableau.IsConsistent(input);
-    AccumulateStats(tableau.stats());
-  }
+  Certainty verdict = SearchModel(input, {}, budget, ground_extra_nulls);
   if (options_.consistency_cache) shared_->cache.Insert(key, verdict);
   return verdict;
 }
@@ -165,28 +161,57 @@ Certainty CertainAnswerSolver::IsCertain(const Instance& input,
       return *hit;
     }
   }
-  Certainty verdict = Certainty::kUnknown;
-  Tableau tableau(rules_, options_.tableau, options_.naive_matching,
-                  options_.scheduler);
-  Certainty counter = tableau.FindModelWhere(
-      input,
-      [&](const Instance& model) { return !query.HasAnswer(model, tuple); },
-      /*reject_antimonotone=*/true);
-  AccumulateStats(tableau.stats());
-  if (counter == Certainty::kYes) {
-    verdict = Certainty::kNo;
-  } else if (counter == Certainty::kNo) {
-    verdict = Certainty::kYes;
-  } else if (options_.ground_extra_nulls > 0) {
-    // Tableau hit its budget: try a bounded finite countermodel search,
-    // which can still refute entailment soundly.
-    GroundSolver ground(rules_);
-    Certainty refuted = ground.RefuteEntailment(input, query, tuple,
-                                                options_.ground_extra_nulls);
-    if (refuted == Certainty::kYes) verdict = Certainty::kNo;
+  // Certain iff no model avoids the answer.
+  Certainty verdict = SearchModel(input, {{query, tuple}}, options_.tableau,
+                                  options_.ground_extra_nulls);
+  if (verdict != Certainty::kUnknown) {
+    verdict = verdict == Certainty::kYes ? Certainty::kNo : Certainty::kYes;
   }
   if (options_.consistency_cache) shared_->cache.Insert(key, verdict);
   return verdict;
+}
+
+Certainty CertainAnswerSolver::SearchModel(const Instance& input,
+                                           const AvoidList& avoid,
+                                           const TableauBudget& budget,
+                                           uint32_t ground_extra_nulls) {
+  auto run_tableau = [&](const TableauBudget& b) {
+    Tableau tableau(rules_, b, options_.naive_matching, options_.scheduler);
+    Certainty found =
+        avoid.empty()
+            ? tableau.IsConsistent(input)
+            : tableau.FindModelWhere(
+                  input,
+                  [&avoid](const Instance& m) {
+                    for (const auto& [q, t] : avoid) {
+                      if (q.HasAnswer(m, t)) return false;
+                    }
+                    return true;
+                  },
+                  /*reject_antimonotone=*/true);
+    AccumulateStats(tableau.stats());
+    return found;
+  };
+  if (ground_extra_nulls == 0) return run_tableau(budget);
+  // Stage 1: a tableau kYes/kNo under a smaller budget is as much a proof
+  // as one under the full budget.
+  TableauBudget shallow = budget;
+  shallow.max_fresh_nulls = static_cast<uint32_t>(std::min<uint64_t>(
+      budget.max_fresh_nulls, std::max<uint64_t>(1, input.NumElements())));
+  shallow.max_steps = std::min(budget.max_steps, kShallowSteps);
+  Certainty found = run_tableau(shallow);
+  if (found != Certainty::kUnknown) return found;
+  // Stage 2: a finite model is a model; its absence proves nothing.
+  if (GroundSolver(rules_).FindModel(input, avoid, ground_extra_nulls) ==
+      Certainty::kYes) {
+    return Certainty::kYes;
+  }
+  // Stage 3: the full budget, unless stage 1 already ran under it.
+  if (shallow.max_fresh_nulls == budget.max_fresh_nulls &&
+      shallow.max_steps == budget.max_steps) {
+    return found;
+  }
+  return run_tableau(budget);
 }
 
 std::set<std::vector<ElemId>> CertainAnswerSolver::CertainAnswers(
@@ -219,7 +244,7 @@ std::set<std::vector<ElemId>> CertainAnswerSolver::CertainAnswers(
 Certainty CertainAnswerSolver::HasDisjunctionViolation(
     const Instance& input,
     const std::vector<std::pair<Ucq, std::vector<ElemId>>>& disjuncts) {
-  // (1) The disjunction must be certain: no model falsifies all disjuncts.
+  // (1) The disjunction must be certain: no model avoids all disjuncts.
   std::string key;
   Certainty all_fail;
   std::optional<Certainty> cached;
@@ -237,18 +262,8 @@ Certainty CertainAnswerSolver::HasDisjunctionViolation(
   if (cached) {
     all_fail = *cached;
   } else {
-    Tableau tableau(rules_, options_.tableau, options_.naive_matching,
-                    options_.scheduler);
-    all_fail = tableau.FindModelWhere(
-        input,
-        [&](const Instance& m) {
-          for (const auto& [q, t] : disjuncts) {
-            if (q.HasAnswer(m, t)) return false;
-          }
-          return true;
-        },
-        /*reject_antimonotone=*/true);
-    AccumulateStats(tableau.stats());
+    all_fail = SearchModel(input, disjuncts, options_.tableau,
+                           options_.ground_extra_nulls);
     if (options_.consistency_cache) shared_->cache.Insert(key, all_fail);
   }
   if (all_fail == Certainty::kYes) return Certainty::kNo;  // not even certain

@@ -22,15 +22,17 @@ namespace gfomq {
 /// and learn_nogoods: those choose an execution strategy, not a verdict
 /// (every engine implements the same complete procedure), so serial,
 /// parallel and trail runs of the same probe share cache entries.
-/// `ground_extra_nulls` is included because the ground fallback's strength
-/// changes how hard a kUnknown verdict tried.
+/// `ground_extra_nulls` is included because the finite-model search's
+/// strength changes how hard a kUnknown verdict tried.
 std::string BudgetKey(const TableauBudget& budget,
                       uint32_t ground_extra_nulls);
 
 /// Options for the certain-answer front end.
 struct CertainOptions {
   TableauBudget tableau;
-  /// Extra nulls for the ground countermodel fallback (0 disables it).
+  /// Extra nulls for the finite-model search between the shallow and the
+  /// full-budget tableau run (0 disables both the search and the shallow
+  /// run; see CertainAnswerSolver).
   uint32_t ground_extra_nulls = 3;
   /// Use the full-scan guard matcher instead of the indexed one — the
   /// differential/bench reference path.
@@ -47,12 +49,30 @@ struct CertainOptions {
 };
 
 /// Front end for OMQ semantics: consistency and certain answers of UCQs
-/// w.r.t. an ontology. Combines the disjunctive guarded tableau (complete
-/// when it terminates) with the finite-countermodel ground solver (sound
-/// refutations), per the engine design in DESIGN.md.
+/// w.r.t. an ontology, per the engine design in DESIGN.md §4.
+///
+/// Every probe — consistency, entailment, and the certainty of a
+/// disjunction — asks one question: is there a model of the rules and the
+/// input that answers none of a list of avoided (UCQ, tuple) pairs? That
+/// question escalates through three procedures, cheapest first, and stops
+/// at the first definite answer:
+///  1. the disjunctive guarded tableau under a shallow budget — one fresh
+///     null per input element and a capped step count (most decidable
+///     probes saturate or close within it);
+///  2. the finite-model search of GroundSolver over 0..ground_extra_nulls
+///     extra nulls (GF ∧ ¬UCQ has the finite-model property, so small
+///     finite countermodels exist where the chase does not terminate);
+///  3. the tableau under the full budget.
+/// Only the tableau can prove that no model exists (every branch closes);
+/// a tableau model and a ground model are both genuine models. A verdict
+/// of any stage is therefore a proof, and the escalation can only turn
+/// what a single full-budget tableau run leaves kUnknown into a definite
+/// verdict, never flip a definite one. With ground_extra_nulls == 0
+/// (TableauIsConsistent, or a solver configured without the ground
+/// search) only stage 3 runs.
 ///
 /// Thread-safe: the methods may be called concurrently (the parallel
-/// bouquet scan does). Consistency verdicts are memoized in a sharded
+/// bouquet scan does). Verdicts are memoized in a sharded
 /// ConsistencyCache shared by all copies of the solver, keyed by canonical
 /// instance content + ontology id + budget fingerprint; TableauStats are
 /// accumulated across every tableau run the solver performs.
@@ -67,9 +87,9 @@ class CertainAnswerSolver {
   /// Is the instance consistent w.r.t. the ontology?
   Certainty IsConsistent(const Instance& input);
 
-  /// Consistency under a caller-supplied tableau budget, without the
-  /// ground-solver fast path (used by the tiling marker probes). Consults
-  /// the same shared cache, under a distinct budget fingerprint.
+  /// Consistency under a caller-supplied tableau budget, by the full-budget
+  /// tableau alone (used by the tiling marker probes). Consults the same
+  /// shared cache, under a distinct budget fingerprint.
   Certainty TableauIsConsistent(const Instance& input,
                                 const TableauBudget& budget);
 
@@ -131,6 +151,12 @@ class CertainAnswerSolver {
 
   Certainty ConsistencyImpl(const Instance& input, const TableauBudget& budget,
                             uint32_t ground_extra_nulls);
+  // The escalation shared by every probe (see the class comment): kYes =
+  // found a model of the rules and `input` answering none of the `avoid`
+  // pairs, kNo = the tableau closed every branch, kUnknown otherwise.
+  Certainty SearchModel(const Instance& input, const AvoidList& avoid,
+                        const TableauBudget& budget,
+                        uint32_t ground_extra_nulls);
   void AccumulateStats(const TableauStats& stats);
 
   RuleSet rules_;

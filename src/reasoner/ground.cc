@@ -154,9 +154,8 @@ void AtMostIf(Cnf* cnf, SatLit cond, const std::vector<SatLit>& lits,
 }  // namespace
 
 std::optional<Instance> GroundSolver::FindModelAtSize(
-    const Instance& input, uint32_t extra_nulls, const Ucq* avoid_query,
-    const std::vector<ElemId>* avoid_tuple, Certainty* certainty,
-    uint64_t max_conflicts) {
+    const Instance& input, uint32_t extra_nulls, const AvoidList& avoid,
+    Certainty* certainty, uint64_t max_conflicts) {
   const uint32_t n = static_cast<uint32_t>(input.NumElements()) + extra_nulls;
   if (n == 0) {
     *certainty = Certainty::kNo;  // interpretations are non-empty
@@ -166,16 +165,12 @@ std::optional<Instance> GroundSolver::FindModelAtSize(
   std::set<uint32_t> rels;
   CollectRuleRels(rules_, &rels);
   for (uint32_t r : input.Signature()) rels.insert(r);
-  if (avoid_query != nullptr) {
-    for (const Cq& d : avoid_query->disjuncts) {
-      for (const CqAtom& a : d.atoms) {
-        if (rels.count(a.rel) == 0) {
-          // The relation appears in neither rules nor data: every model can
-          // keep it empty, but grounding still needs variables for it so
-          // that the negated query constrains them.
-          rels.insert(a.rel);
-        }
-      }
+  for (const auto& [query, tuple] : avoid) {
+    for (const Cq& d : query.disjuncts) {
+      // A relation in neither rules nor data can stay empty in every
+      // model, but grounding still needs variables for it so that the
+      // negated query constrains them.
+      for (const CqAtom& a : d.atoms) rels.insert(a.rel);
     }
   }
 
@@ -358,19 +353,18 @@ std::optional<Instance> GroundSolver::FindModelAtSize(
     }
   }
 
-  // ¬q(a~): for every disjunct and every assignment, some atom is false.
-  if (avoid_query != nullptr) {
-    for (const Cq& d : avoid_query->disjuncts) {
+  // ¬q(a~) for every avoided pair: for every disjunct and every
+  // assignment extending a~, some atom is false.
+  for (const auto& [query, tuple] : avoid) {
+    for (const Cq& d : query.disjuncts) {
       TupleIter assign(d.num_vars, n);
       for (; !assign.done(); assign.Next()) {
         std::vector<ElemId> env = assign.tuple();
         bool compatible = true;
-        if (avoid_tuple != nullptr) {
-          for (size_t i = 0; i < d.answer_vars.size(); ++i) {
-            if (env[d.answer_vars[i]] != (*avoid_tuple)[i]) {
-              compatible = false;
-              break;
-            }
+        for (size_t i = 0; i < d.answer_vars.size(); ++i) {
+          if (env[d.answer_vars[i]] != tuple[i]) {
+            compatible = false;
+            break;
           }
         }
         if (!compatible) continue;
@@ -410,37 +404,21 @@ std::optional<Instance> GroundSolver::FindModelAtSize(
   return model;
 }
 
-Certainty GroundSolver::RefuteEntailment(
-    const Instance& input, const Ucq& query, const std::vector<ElemId>& tuple,
-    uint32_t max_extra_nulls, std::optional<Instance>* countermodel) {
-  bool any_unknown = false;
-  for (uint32_t extra = 0; extra <= max_extra_nulls; ++extra) {
-    Certainty c = Certainty::kUnknown;
-    std::optional<Instance> model =
-        FindModelAtSize(input, extra, &query, &tuple, &c);
-    if (c == Certainty::kYes) {
-      if (countermodel != nullptr) *countermodel = std::move(model);
-      return Certainty::kYes;
-    }
-    if (c == Certainty::kUnknown) any_unknown = true;
-  }
-  (void)any_unknown;
-  return Certainty::kUnknown;  // bounded absence is not a proof
-}
-
-Certainty GroundSolver::CheckConsistency(const Instance& input,
-                                         uint32_t max_extra_nulls,
-                                         std::optional<Instance>* model) {
+Certainty GroundSolver::FindModel(const Instance& input,
+                                  const AvoidList& avoid,
+                                  uint32_t max_extra_nulls,
+                                  std::optional<Instance>* model,
+                                  uint64_t max_conflicts) {
   for (uint32_t extra = 0; extra <= max_extra_nulls; ++extra) {
     Certainty c = Certainty::kUnknown;
     std::optional<Instance> m =
-        FindModelAtSize(input, extra, nullptr, nullptr, &c);
+        FindModelAtSize(input, extra, avoid, &c, max_conflicts);
     if (c == Certainty::kYes) {
       if (model != nullptr) *model = std::move(m);
       return Certainty::kYes;
     }
   }
-  return Certainty::kUnknown;
+  return Certainty::kUnknown;  // bounded absence is not a proof
 }
 
 }  // namespace gfomq

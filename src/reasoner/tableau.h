@@ -76,10 +76,16 @@ struct TableauBudget {
 
 /// Statistics of a tableau run (see DESIGN.md §Chase engine). A run's
 /// counters are reset by ForEachModel; callers that aggregate across runs
-/// (CertainAnswerSolver) use operator+=. Counters come in two flavours:
-/// additive tallies (summed by operator+=) and peak-style watermarks
+/// (CertainAnswerSolver) use operator+=, and callers that attribute a span
+/// of an aggregate's life (DecidePtimeByBouquets) subtract two snapshots
+/// with operator-=. Counters come in two flavours: additive tallies (summed
+/// by operator+=, subtracted by operator-=) and peak-style watermarks
 /// (peak_branch_depth, peak_live_tasks), which operator+= max-merges so
 /// per-worker partial stats combine to the same aggregate in any order.
+/// A watermark cannot be un-merged: a difference keeps the later
+/// snapshot's watermarks, which bound the span's peaks from above. Likewise
+/// budget_hit is or-merged and a difference keeps the later snapshot's
+/// flag: whether any run up to then hit its budget.
 struct TableauStats {
   uint64_t steps = 0;                // rule firings (obligations expanded)
   uint64_t branches_opened = 0;      // branches entered (root + successors)
@@ -101,21 +107,7 @@ struct TableauStats {
   bool budget_hit = false;
 
   TableauStats& operator+=(const TableauStats& o) {
-    steps += o.steps;
-    branches_opened += o.branches_opened;
-    branches_closed += o.branches_closed;
-    branches_saturated += o.branches_saturated;
-    guard_match_probes += o.guard_match_probes;
-    index_lookups += o.index_lookups;
-    relation_scans += o.relation_scans;
-    cow_copies += o.cow_copies;
-    tasks_spawned += o.tasks_spawned;
-    cancelled_branches += o.cancelled_branches;
-    sequential_cutoff_hits += o.sequential_cutoff_hits;
-    trail_entries += o.trail_entries;
-    pop_levels += o.pop_levels;
-    nogoods_learned += o.nogoods_learned;
-    nogood_prunes += o.nogood_prunes;
+    ForEachTally(o, [](uint64_t& a, uint64_t b) { a += b; });
     peak_branch_depth = peak_branch_depth > o.peak_branch_depth
                             ? peak_branch_depth
                             : o.peak_branch_depth;
@@ -124,6 +116,34 @@ struct TableauStats {
                           : o.peak_live_tasks;
     budget_hit = budget_hit || o.budget_hit;
     return *this;
+  }
+
+  /// `*this` must be a later snapshot of the accumulator `earlier` was
+  /// taken from (so every tally is at least as large).
+  TableauStats& operator-=(const TableauStats& earlier) {
+    ForEachTally(earlier, [](uint64_t& a, uint64_t b) { a -= b; });
+    return *this;
+  }
+
+ private:
+  // The one list of additive tallies, so += and -= cannot drift apart.
+  template <typename Fn>
+  void ForEachTally(const TableauStats& o, Fn fn) {
+    fn(steps, o.steps);
+    fn(branches_opened, o.branches_opened);
+    fn(branches_closed, o.branches_closed);
+    fn(branches_saturated, o.branches_saturated);
+    fn(guard_match_probes, o.guard_match_probes);
+    fn(index_lookups, o.index_lookups);
+    fn(relation_scans, o.relation_scans);
+    fn(cow_copies, o.cow_copies);
+    fn(tasks_spawned, o.tasks_spawned);
+    fn(cancelled_branches, o.cancelled_branches);
+    fn(sequential_cutoff_hits, o.sequential_cutoff_hits);
+    fn(trail_entries, o.trail_entries);
+    fn(pop_levels, o.pop_levels);
+    fn(nogoods_learned, o.nogoods_learned);
+    fn(nogood_prunes, o.nogood_prunes);
   }
 };
 

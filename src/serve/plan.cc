@@ -119,7 +119,7 @@ Status OmqPlan::BuildRewrite(const Ucq& query, CompiledQuery* compiled) {
   if (!rewrite.ok()) return rewrite.status();
   compiled->program = std::move(rewrite->program);
   compiled->configurations_explored = rewrite->configurations_explored;
-  compiled->truncated = rewrite->truncated;
+  compiled->truncated = rewrite->MaybeIncomplete();
   return Status::Ok();
 }
 
@@ -144,8 +144,8 @@ Result<std::shared_ptr<const CompiledQuery>> OmqPlan::BuildQuery(
         if (!s.ok()) return s;
         if (compiled->truncated) {
           return Status::InvalidArgument(
-              "rewriting was truncated; FO backend refuses incomplete "
-              "programs");
+              "rewriting may be incomplete (truncated or undecided); FO "
+              "backend refuses incomplete programs");
         }
         FoRewriteResult fo = RewriteToUcq(compiled->program, EdbRels(query),
                                           options_.engine.rewriter.fo);

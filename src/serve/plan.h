@@ -33,6 +33,9 @@ struct CompiledQuery {
   /// rewriting whose goal relation holds exactly the certain answers.
   DatalogProgram program;
   size_t configurations_explored = 0;
+  /// The rewriting may be incomplete: its decoration pools were truncated
+  /// or some of its sweep probes stayed undecided (RewriteResult::
+  /// MaybeIncomplete). The planner never serves such a program.
   bool truncated = false;
   /// Valid when backend == kFoRewrite: the non-recursive UCQ unfolding,
   /// precompiled for indexed matching. Stateless — sessions evaluate it
@@ -79,8 +82,8 @@ struct PlanOptions {
 struct PlannerStats {
   uint64_t chosen[kNumPlanBackends] = {0, 0, 0, 0};
   /// PTIME verdicts that could not serve datalog/FO because the rewriting
-  /// was truncated (possibly incomplete) and fell back to a complete
-  /// backend instead.
+  /// was truncated or left sweep probes undecided (possibly incomplete)
+  /// and fell back to a complete backend instead.
   uint64_t truncated_fallbacks = 0;
   uint64_t fo_built = 0;   // successful UCQ unfoldings
   uint64_t fo_bailed = 0;  // recursion / ≠ / size bails

@@ -29,7 +29,7 @@ const char* BackendName(PlanBackend b);
 /// Compile-time facts that decide which backends are eligible.
 struct PlannerInputs {
   bool ptime_complete = false;    // meta decision (or caller) says PTIME
-  bool rewrite_truncated = false; // decoration pools truncated → incomplete
+  bool rewrite_truncated = false; // truncated or undecided → incomplete
   bool fo_ok = false;             // RewriteToUcq closed
   bool csp_eligible = false;
 };

@@ -424,12 +424,10 @@ MarkerStatus CheckMarker(CertainAnswerSolver& solver, const Instance& input,
   extended.AddFact(marker_rel, {d, u1});
   extended.AddFact(marker_rel, {d, u2});
   // Consistency of the extension == existence of a countermodel.
-  GroundSolver ground(solver.rules());
-  for (uint32_t extra = 0; extra <= ground_extra; ++extra) {
-    Certainty c = Certainty::kUnknown;
-    ground.FindModelAtSize(extended, extra, nullptr, nullptr, &c,
-                           /*max_conflicts=*/500000);
-    if (c == Certainty::kYes) return MarkerStatus::kRefuted;
+  if (GroundSolver(solver.rules())
+          .FindModel(extended, /*avoid=*/{}, ground_extra, /*model=*/nullptr,
+                     /*max_conflicts=*/500000) == Certainty::kYes) {
+    return MarkerStatus::kRefuted;
   }
   TableauBudget budget;
   budget.max_steps = 20000;

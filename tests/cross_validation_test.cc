@@ -113,15 +113,32 @@ TEST(CrossValidationTest, GroundModelsSatisfyTheOntology) {
     auto rules = NormalizeOntology(onto);
     ASSERT_TRUE(rules.ok());
     GroundSolver ground(*rules);
-    for (uint32_t extra = 0; extra <= 2; ++extra) {
-      Certainty c = Certainty::kUnknown;
-      auto model = ground.FindModelAtSize(d, extra, nullptr, nullptr, &c);
-      if (model) {
-        EXPECT_TRUE(IsModelOf(onto, *model))
-            << "trial " << trial << " extra " << extra << "\nontology:\n"
-            << OntologyToString(onto) << "input: " << d.ToString()
-            << "\nmodel: " << model->ToString();
-        break;
+    // Plain models (consistency), then models that must also avoid
+    // several (query, tuple) pairs at once — the list the disjunction
+    // probe hands over.
+    auto b = ParseCq("q(x) :- B(x)", sym);
+    auto c = ParseCq("q(x) :- C(x)", sym);
+    auto r = ParseCq("q() :- R(x,y), A(y)", sym);
+    ASSERT_TRUE(b.ok() && c.ok() && r.ok());
+    std::vector<AvoidList> lists = {
+        {},
+        {{Ucq::Single(*b), {0}}, {Ucq::Single(*c), {1}}},
+        {{Ucq::Single(*b), {1}}, {Ucq::Single(*c), {0}},
+         {Ucq::Single(*r), {}}},
+    };
+    for (const AvoidList& avoid : lists) {
+      std::optional<Instance> model;
+      if (ground.FindModel(d, avoid, 2, &model) != Certainty::kYes) continue;
+      ASSERT_TRUE(model.has_value());
+      EXPECT_TRUE(IsModelOf(onto, *model))
+          << "trial " << trial << " avoiding " << avoid.size()
+          << "\nontology:\n"
+          << OntologyToString(onto) << "input: " << d.ToString()
+          << "\nmodel: " << model->ToString();
+      for (const Fact& f : d.facts()) EXPECT_TRUE(model->HasFact(f));
+      for (const auto& [q, t] : avoid) {
+        EXPECT_FALSE(q.HasAnswer(*model, t))
+            << "trial " << trial << ": model answers " << q.ToString();
       }
     }
   }
@@ -138,12 +155,7 @@ TEST(CrossValidationTest, TableauAndGroundAgreeOnConsistency) {
     Tableau tableau(*rules);
     Certainty t = tableau.IsConsistent(d);
     GroundSolver ground(*rules);
-    Certainty g = Certainty::kUnknown;
-    for (uint32_t extra = 0; extra <= 2 && g != Certainty::kYes; ++extra) {
-      Certainty c = Certainty::kUnknown;
-      ground.FindModelAtSize(d, extra, nullptr, nullptr, &c);
-      if (c == Certainty::kYes) g = Certainty::kYes;
-    }
+    Certainty g = ground.FindModel(d, /*avoid=*/{}, 2);
     // Ground "model found" must never contradict a tableau "inconsistent"
     // and vice versa.
     if (t == Certainty::kNo) {

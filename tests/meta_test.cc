@@ -173,6 +173,36 @@ TEST(BouquetTest, MetaDecisionReportsBudgetExhaustionExplicitly) {
   EXPECT_FALSE(full.budget_exhausted);
 }
 
+TEST(BouquetTest, MetaDecisionTableauStatsAreThisRunsOwn) {
+  // MetaSearchStats::tableau is a difference of the solver's cumulative
+  // totals. Every tally must be in it — including the trail engine's — so
+  // a second, fully memoized decision on the same solver reports no work.
+  SymbolsPtr sym = MakeSymbols();
+  auto onto = ParseOntology(
+      "forall x . (A(x) -> B(x)); forall x, y (R(x,y) -> (B(x) -> B(y)));",
+      sym);
+  ASSERT_TRUE(onto.ok());
+  CertainOptions certain;
+  certain.tableau.engine = TableauEngine::kTrail;
+  auto solver = CertainAnswerSolver::Create(*onto, certain);
+  ASSERT_TRUE(solver.ok());
+  BouquetOptions opts;
+  opts.max_outdegree = 1;
+  MetaDecision first =
+      DecidePtimeByBouquets(*solver, sym, onto->Signature(), opts);
+  EXPECT_EQ(first.ptime, Certainty::kYes);
+  EXPECT_GT(first.stats.tableau.steps, 0u);
+  EXPECT_GT(first.stats.tableau.trail_entries, 0u);
+  MetaDecision second =
+      DecidePtimeByBouquets(*solver, sym, onto->Signature(), opts);
+  EXPECT_EQ(second.ptime, Certainty::kYes);
+  EXPECT_EQ(second.bouquets_checked, first.bouquets_checked);
+  EXPECT_EQ(second.stats.tableau.steps, 0u);
+  EXPECT_EQ(second.stats.tableau.trail_entries, 0u);
+  EXPECT_EQ(second.stats.tableau.pop_levels, 0u);
+  EXPECT_EQ(second.stats.cache.misses, 0u);
+}
+
 TEST(BouquetTest, MetaDecisionHornIsPtime) {
   SymbolsPtr sym = MakeSymbols();
   auto onto = ParseOntology("forall x . (A(x) -> B(x));", sym);

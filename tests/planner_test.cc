@@ -294,6 +294,53 @@ TEST(PlannerTest, TruncatedRewritingFallsBackToTableau) {
   EXPECT_TRUE(answers->count({a}));
 }
 
+TEST(PlannerTest, UndecidedSweepProbesFallBackToTableau) {
+  SymbolsPtr sym = MakeSymbols();
+  // The chase of A never ends. Without fresh nulls and without the
+  // finite-model search the sweep cannot decide whether A(x) entails B(x),
+  // so it drops B(v0) :- A(v0) and the program answers {} on A(c). Such a
+  // program must count its undecided probes and never serve.
+  Ontology onto = MustOntology(
+      "forall x . (A(x) -> exists y (R(x,y) & A(y)));"
+      "forall x . (A(x) -> B(x));",
+      sym);
+  Ucq q = MustUcq("q(x) :- B(x)", sym);
+  PlanOptions opts = Assume(Certainty::kYes);
+  opts.engine.certain.tableau.max_fresh_nulls = 0;
+  opts.engine.certain.ground_extra_nulls = 0;
+  RewriterOptions ropts = opts.engine.rewriter;
+  ropts.certain = opts.engine.certain;
+  auto rewrite = RewriteToDatalog(onto, q, ropts);
+  ASSERT_TRUE(rewrite.ok()) << rewrite.status().ToString();
+  EXPECT_FALSE(rewrite->truncated);
+  EXPECT_GT(rewrite->undecided_probes, 0u);
+  EXPECT_TRUE(rewrite->MaybeIncomplete());
+  Instance db(sym);
+  ElemId c = db.AddConstant("c");
+  db.AddFact(sym->Rel("A", 1), {c});
+  EXPECT_TRUE(DatalogEngine(rewrite->program).GoalTuples(db).empty());
+
+  auto plan = MustPlan(onto, opts);
+  auto compiled = plan->CompileQuery(q);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_TRUE((*compiled)->truncated);
+  EXPECT_EQ((*compiled)->backend, PlanBackend::kTableau);
+  EXPECT_EQ(plan->planner_stats().truncated_fallbacks, 1u);
+
+  // Under the default budgets every probe is decided, and the rewriting
+  // is served with the certain answer.
+  auto decided = RewriteToDatalog(onto, q, {});
+  ASSERT_TRUE(decided.ok());
+  EXPECT_EQ(decided->undecided_probes, 0u);
+  EXPECT_EQ(DatalogEngine(decided->program).GoalTuples(db),
+            (std::set<std::vector<ElemId>>{{c}}));
+  auto served = MustPlan(onto, Assume(Certainty::kYes));
+  auto served_query = served->CompileQuery(q);
+  ASSERT_TRUE(served_query.ok());
+  EXPECT_NE((*served_query)->backend, PlanBackend::kTableau);
+  EXPECT_EQ(served->planner_stats().truncated_fallbacks, 0u);
+}
+
 TEST(PlannerTest, LookupQueryPicksFoRewrite) {
   SymbolsPtr sym = MakeSymbols();
   Ontology onto = MustOntology(
