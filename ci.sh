@@ -51,7 +51,10 @@
 # differential (EscalationDifferential: escalated verdicts vs the
 # full-tableau-only solver), the multi-pair ground-model check
 # (GroundModelsSatisfyTheOntology) and the meta-decision stats-delta test
-# join the asan batch too. Finally, when clang-tidy is
+# join the asan batch too, and so do the contract of the models that
+# consistency probes hand back (ModelContract) and the disjunctive
+# rewriting differential (DisjunctiveDifferential; the answer-domain
+# regression rides in with Planner*). Finally, when clang-tidy is
 # installed, the modernize/performance/bugprone profile in .clang-tidy
 # runs over src/logic and src/reasoner.
 set -euo pipefail
@@ -76,7 +79,7 @@ ctest --preset release -j "$JOBS" -L fuzz
 
 echo "=== [asan] differential suite (indexed vs naive reference) ==="
 ctest --preset asan -j "$JOBS" \
-  -R 'IndexedMatchesNaive|IndexedEngineMatchesNaive|RandomizedIndexMaintenance|SemiNaiveMatchesNaive|TableauDifferential|TableauParallel|TableauTrail|TableauFuzzTsan|ConsistencyCache|ServeSession|ServeDriver|BenchJson|Scheduler|FoRewriter|CompiledUcq|CspSat|Planner|DatalogPrune|EscalationDifferential|GroundModelsSatisfyTheOntology|MetaDecisionTableauStatsAreThisRunsOwn'
+  -R 'IndexedMatchesNaive|IndexedEngineMatchesNaive|RandomizedIndexMaintenance|SemiNaiveMatchesNaive|TableauDifferential|TableauParallel|TableauTrail|TableauFuzzTsan|ConsistencyCache|ServeSession|ServeDriver|BenchJson|Scheduler|FoRewriter|CompiledUcq|CspSat|Planner|DatalogPrune|EscalationDifferential|GroundModelsSatisfyTheOntology|MetaDecisionTableauStatsAreThisRunsOwn|ModelContract|DisjunctiveDifferential'
 
 echo "=== [release] scheduler tier (ctest -L scheduler) ==="
 ctest --preset release -j "$JOBS" -L scheduler

@@ -87,6 +87,10 @@ std::string OmqVerdict::Summary(const Symbols& symbols) const {
   if (bouquets_checked > 0) {
     out << "bouquets checked: " << bouquets_checked << "\n";
   }
+  if (meta_stats.model_settled_probes > 0) {
+    out << "probes settled by a consistency model: "
+        << meta_stats.model_settled_probes << "\n";
+  }
   if (meta_stats.cache.Lookups() > 0) {
     out << "consistency cache: " << meta_stats.cache.hits << " hits / "
         << meta_stats.cache.Lookups() << " lookups (hit-rate "

@@ -99,8 +99,14 @@ Result<RewriteResult> RewriteToDatalog(const Ontology& ontology,
     if (emitted.insert(key).second) prog.rules.push_back(std::move(rule));
   };
 
-  // elem#(x) :- R(...,x,...) for every signature relation and position.
-  for (uint32_t rel : sig) {
+  // elem#(x) :- R(...,x,...) for every relation of sig(O) ∪ sig(q) and
+  // every position: on an inconsistent database every tuple over this
+  // domain is certain, the query's own relations included.
+  std::set<uint32_t> domain_rels(sig.begin(), sig.end());
+  for (const Cq& d : query.disjuncts) {
+    for (const CqAtom& a : d.atoms) domain_rels.insert(a.rel);
+  }
+  for (uint32_t rel : domain_rels) {
     int arity = sym->RelArity(rel);
     for (int i = 0; i < arity; ++i) {
       DatalogRule r;
@@ -191,7 +197,8 @@ Result<RewriteResult> RewriteToDatalog(const Ontology& ontology,
             return c;
           };
           // Inconsistent configuration: emit incons#().
-          if (decided(solver->IsConsistent(inst)) == Certainty::kNo) {
+          std::optional<Instance> model;
+          if (decided(solver->IsConsistent(inst, &model)) == Certainty::kNo) {
             DatalogRule r;
             r.num_vars = shape.k;
             r.body = body_of_config();
@@ -199,6 +206,13 @@ Result<RewriteResult> RewriteToDatalog(const Ontology& ontology,
             emit(std::move(r));
             return;  // everything else is vacuous
           }
+          // An atom or match that the configuration's model falsifies is
+          // not certain: its probe could not emit a rule.
+          auto settled = [&](const Cq& q, const std::vector<ElemId>& tuple) {
+            if (!model || q.HasAnswer(*model, tuple)) return false;
+            ++result.model_settled_probes;
+            return true;
+          };
           // Entailed atomic consequences.
           for (uint32_t rel : sig) {
             int arity = sym->RelArity(rel);
@@ -227,6 +241,7 @@ Result<RewriteResult> RewriteToDatalog(const Ontology& ontology,
               }
               atomic.atoms.push_back({rel, qvars});
               atomic.answer_vars = qvars;
+              if (settled(atomic, tuple)) continue;
               if (decided(solver->IsCertain(inst, atomic, tuple)) ==
                   Certainty::kYes) {
                 DatalogRule r;
@@ -244,8 +259,9 @@ Result<RewriteResult> RewriteToDatalog(const Ontology& ontology,
             size_t arity = d.answer_vars.size();
             std::vector<ElemId> tuple(arity, 0);
             for (;;) {
-              if (decided(solver->IsCertain(inst, d, tuple)) ==
-                  Certainty::kYes) {
+              if (!settled(d, tuple) &&
+                  decided(solver->IsCertain(inst, d, tuple)) ==
+                      Certainty::kYes) {
                 DatalogRule r;
                 r.num_vars = shape.k;
                 r.body = body_of_config();

@@ -44,6 +44,9 @@ struct RewriteResult {
   /// program is sound but possibly incomplete, and it must not be served
   /// as the complete answer.
   size_t undecided_probes = 0;
+  /// Entailment probes skipped because the configuration's consistency
+  /// model falsifies the atom or query match (it is then not certain).
+  size_t model_settled_probes = 0;
   /// `truncated` or `undecided_probes`: Π(D) may miss certain answers.
   bool MaybeIncomplete() const { return truncated || undecided_probes > 0; }
   /// Consistency-cache traffic of the configuration sweep (many

@@ -202,7 +202,8 @@ MetaDecision DecidePtimeByBouquets(CertainAnswerSolver& solver,
           bool conclusive = true;
           std::optional<DisjunctionViolation> violation =
               FindDisjunctionViolation(solver, bouquet, signature,
-                                       &conclusive, options.probe);
+                                       &conclusive, options.probe,
+                                       &out.stats.model_settled_probes);
           if (violation) {
             best = std::move(violation);
             best_index = index;
@@ -241,6 +242,7 @@ MetaDecision DecidePtimeByBouquets(CertainAnswerSolver& solver,
     std::atomic<bool> any_inconclusive{false};
     std::atomic<bool> any_exhausted{false};
     std::atomic<uint64_t> total_enumerated{0};
+    std::atomic<uint64_t> model_settled{0};
     std::vector<MetaWorkerStats> per_worker(threads);
 
     // Shards run on the shared scheduler's pool (one pool for every
@@ -254,6 +256,7 @@ MetaDecision DecidePtimeByBouquets(CertainAnswerSolver& solver,
         [&](uint64_t w) {
           uint64_t probed = 0;
           uint64_t violations = 0;
+          uint64_t settled = 0;
           uint64_t total = 0;
           BouquetScan scan = WalkBouquets(
               symbols, signature, options, static_cast<uint32_t>(w),
@@ -269,7 +272,8 @@ MetaDecision DecidePtimeByBouquets(CertainAnswerSolver& solver,
                 bool conclusive = true;
                 std::optional<DisjunctionViolation> violation =
                     FindDisjunctionViolation(solver, bouquet, signature,
-                                             &conclusive, options.probe);
+                                             &conclusive, options.probe,
+                                             &settled);
                 if (violation) {
                   ++violations;
                   std::lock_guard<std::mutex> lk(best_mu);
@@ -294,6 +298,7 @@ MetaDecision DecidePtimeByBouquets(CertainAnswerSolver& solver,
           }
           per_worker[w].bouquets_probed = probed;
           per_worker[w].violations_found = violations;
+          model_settled.fetch_add(settled, std::memory_order_relaxed);
         },
         /*token=*/nullptr, /*chunk=*/1);
     (void)st;  // shard bodies don't throw; Status is for user tasks
@@ -306,6 +311,8 @@ MetaDecision DecidePtimeByBouquets(CertainAnswerSolver& solver,
     // with the shared pool (other layers' tasks interleave on the same
     // workers), so this is a diagnostic of the whole scheduler during the
     // scan, not of this scan alone.
+    out.stats.model_settled_probes =
+        model_settled.load(std::memory_order_relaxed);
     out.stats.steals = pool.TotalSteals() - steals_before;
     out.stats.per_worker = std::move(per_worker);
 

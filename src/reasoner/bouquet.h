@@ -78,6 +78,9 @@ struct MetaSearchStats {
   uint64_t violations_found = 0;
   uint64_t steals = 0;
   uint64_t wall_micros = 0;
+  /// Entailment and disjunction probes that a bouquet's consistency model
+  /// settled without a reasoner call (see FindDisjunctionViolation).
+  uint64_t model_settled_probes = 0;
   /// Consistency-cache and tableau activity during this run (deltas of the
   /// solver's shared counters; diagnostics, not part of the verdict). Every
   /// tableau tally is this run's own; the watermarks (peak_branch_depth,

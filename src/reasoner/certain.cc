@@ -111,8 +111,10 @@ std::string CertainAnswerSolver::ProbeKey(
   return key;
 }
 
-Certainty CertainAnswerSolver::IsConsistent(const Instance& input) {
-  return ConsistencyImpl(input, options_.tableau, options_.ground_extra_nulls);
+Certainty CertainAnswerSolver::IsConsistent(const Instance& input,
+                                            std::optional<Instance>* model) {
+  return ConsistencyImpl(input, options_.tableau, options_.ground_extra_nulls,
+                         model);
 }
 
 Certainty CertainAnswerSolver::TableauIsConsistent(
@@ -120,10 +122,12 @@ Certainty CertainAnswerSolver::TableauIsConsistent(
   return ConsistencyImpl(input, budget, /*ground_extra_nulls=*/0);
 }
 
-Certainty CertainAnswerSolver::ConsistencyImpl(const Instance& input,
-                                               const TableauBudget& budget,
-                                               uint32_t ground_extra_nulls) {
+Certainty CertainAnswerSolver::ConsistencyImpl(
+    const Instance& input, const TableauBudget& budget,
+    uint32_t ground_extra_nulls, std::optional<Instance>* model) {
+  if (model != nullptr) model->reset();
   std::string key;
+  std::optional<Certainty> hit;
   if (options_.consistency_cache) {
     // The budget and the finite-model search's strength are in the key:
     // kYes/kNo verdicts are ground truth, but kUnknown depends on how hard
@@ -133,11 +137,15 @@ Certainty CertainAnswerSolver::ConsistencyImpl(const Instance& input,
     key += "|o";
     key += std::to_string(solver_id_);
     key += BudgetKey(budget, ground_extra_nulls);
-    if (std::optional<Certainty> hit = shared_->cache.Lookup(key)) {
-      return *hit;
-    }
+    hit = shared_->cache.Lookup(key);
+    // The cache holds verdicts only: a kYes hit carries no model, so a
+    // caller that asks for one searches again below.
+    if (hit && (*hit != Certainty::kYes || model == nullptr)) return *hit;
   }
-  Certainty verdict = SearchModel(input, {}, budget, ground_extra_nulls);
+  Certainty verdict =
+      SearchModel(input, {}, budget, ground_extra_nulls, model);
+  // A memoized kYes is a proof whatever the repeated search decides.
+  if (hit) return *hit;
   if (options_.consistency_cache) shared_->cache.Insert(key, verdict);
   return verdict;
 }
@@ -174,7 +182,8 @@ Certainty CertainAnswerSolver::IsCertain(const Instance& input,
 Certainty CertainAnswerSolver::SearchModel(const Instance& input,
                                            const AvoidList& avoid,
                                            const TableauBudget& budget,
-                                           uint32_t ground_extra_nulls) {
+                                           uint32_t ground_extra_nulls,
+                                           std::optional<Instance>* model) {
   auto run_tableau = [&](const TableauBudget& b) {
     Tableau tableau(rules_, b, options_.naive_matching, options_.scheduler);
     Certainty found =
@@ -190,6 +199,9 @@ Certainty CertainAnswerSolver::SearchModel(const Instance& input,
                   },
                   /*reject_antimonotone=*/true);
     AccumulateStats(tableau.stats());
+    if (found == Certainty::kYes && model != nullptr) {
+      *model = tableau.last_model();
+    }
     return found;
   };
   if (ground_extra_nulls == 0) return run_tableau(budget);
@@ -201,9 +213,10 @@ Certainty CertainAnswerSolver::SearchModel(const Instance& input,
   shallow.max_steps = std::min(budget.max_steps, kShallowSteps);
   Certainty found = run_tableau(shallow);
   if (found != Certainty::kUnknown) return found;
-  // Stage 2: a finite model is a model; its absence proves nothing.
-  if (GroundSolver(rules_).FindModel(input, avoid, ground_extra_nulls) ==
-      Certainty::kYes) {
+  // Stage 2: a finite model is a model; its absence proves nothing. It
+  // extends the input by fresh nulls, so the input's ids stay intact.
+  if (GroundSolver(rules_).FindModel(input, avoid, ground_extra_nulls,
+                                     model) == Certainty::kYes) {
     return Certainty::kYes;
   }
   // Stage 3: the full budget, unless stage 1 already ran under it.
@@ -219,16 +232,37 @@ std::set<std::vector<ElemId>> CertainAnswerSolver::CertainAnswers(
     std::vector<std::vector<ElemId>>* unknown) {
   std::set<std::vector<ElemId>> out;
   size_t arity = query.Arity();
-  // Enumerate all tuples over dom(input).
-  std::vector<ElemId> tuple(arity, 0);
   const uint32_t n = static_cast<uint32_t>(input.NumElements());
   if (n == 0) return out;
-  for (;;) {
+  auto probe = [&](const std::vector<ElemId>& tuple) {
     Certainty c = IsCertain(input, query, tuple);
     if (c == Certainty::kYes) {
       out.insert(tuple);
     } else if (c == Certainty::kUnknown && unknown != nullptr) {
       unknown->push_back(tuple);
+    }
+  };
+  // Every certain tuple holds in every model, so a tuple the consistency
+  // probe's model does not answer is not certain and needs no probe.
+  std::optional<Instance> model;
+  Certainty consistent = IsConsistent(input, &model);
+  if (model) {
+    for (const std::vector<ElemId>& tuple : query.AllAnswers(*model)) {
+      if (std::all_of(tuple.begin(), tuple.end(),
+                      [n](ElemId e) { return e < n; })) {
+        probe(tuple);
+      }
+    }
+    return out;
+  }
+  // Enumerate all tuples over dom(input); on an inconsistent input each
+  // of them is certain.
+  std::vector<ElemId> tuple(arity, 0);
+  for (;;) {
+    if (consistent == Certainty::kNo) {
+      out.insert(tuple);
+    } else {
+      probe(tuple);
     }
     // Next tuple (also terminates the arity-0 case after one round).
     size_t i = 0;

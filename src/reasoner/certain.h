@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -84,8 +85,15 @@ class CertainAnswerSolver {
 
   explicit CertainAnswerSolver(RuleSet rules, CertainOptions options = {});
 
-  /// Is the instance consistent w.r.t. the ontology?
-  Certainty IsConsistent(const Instance& input);
+  /// Is the instance consistent w.r.t. the ontology? On kYes, `model`
+  /// (when non-null) receives the model that proved it: a model of the
+  /// rules that contains `input` under the same element ids. Every atom or
+  /// tuple it falsifies is therefore not certain (DESIGN.md §4). It stays
+  /// nullopt on any other verdict, and also on kYes when the search had to
+  /// merge away an input element (see Tableau::last_model). A memoized kYes
+  /// carries no model; asking for one then searches again.
+  Certainty IsConsistent(const Instance& input,
+                         std::optional<Instance>* model = nullptr);
 
   /// Consistency under a caller-supplied tableau budget, by the full-budget
   /// tableau alone (used by the tiling marker probes). Consults the same
@@ -104,7 +112,9 @@ class CertainAnswerSolver {
   }
 
   /// All certain answers among tuples over dom(input). Tuples mapping to
-  /// kUnknown are reported in `unknown` when non-null.
+  /// kUnknown are reported in `unknown` when non-null. One consistency
+  /// probe runs first: an inconsistent input makes every tuple certain,
+  /// and on a consistent one only the tuples its model answers are probed.
   std::set<std::vector<ElemId>> CertainAnswers(
       const Instance& input, const Ucq& query,
       std::vector<std::vector<ElemId>>* unknown = nullptr);
@@ -150,13 +160,17 @@ class CertainAnswerSolver {
   };
 
   Certainty ConsistencyImpl(const Instance& input, const TableauBudget& budget,
-                            uint32_t ground_extra_nulls);
+                            uint32_t ground_extra_nulls,
+                            std::optional<Instance>* model = nullptr);
   // The escalation shared by every probe (see the class comment): kYes =
   // found a model of the rules and `input` answering none of the `avoid`
-  // pairs, kNo = the tableau closed every branch, kUnknown otherwise.
+  // pairs (stored in `model` when non-null and it keeps the input's
+  // element ids), kNo = the tableau closed every branch, kUnknown
+  // otherwise.
   Certainty SearchModel(const Instance& input, const AvoidList& avoid,
                         const TableauBudget& budget,
-                        uint32_t ground_extra_nulls);
+                        uint32_t ground_extra_nulls,
+                        std::optional<Instance>* model = nullptr);
   void AccumulateStats(const TableauStats& stats);
 
   RuleSet rules_;

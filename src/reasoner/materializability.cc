@@ -1,5 +1,6 @@
 #include "reasoner/materializability.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -53,9 +54,10 @@ namespace {
 std::optional<DisjunctionViolation> FindDisjunctionViolationImpl(
     CertainAnswerSolver& solver, const Instance& instance,
     const std::vector<uint32_t>& signature, bool* conclusive,
-    ProbeOptions options) {
+    ProbeOptions options, uint64_t* model_settled) {
   *conclusive = true;
-  Certainty consistent = solver.IsConsistent(instance);
+  std::optional<Instance> model;
+  Certainty consistent = solver.IsConsistent(instance, &model);
   if (consistent != Certainty::kYes) {
     // Inconsistent (everything certain, no violation possible) or unknown.
     if (consistent == Certainty::kUnknown) *conclusive = false;
@@ -64,17 +66,26 @@ std::optional<DisjunctionViolation> FindDisjunctionViolationImpl(
   SymbolsPtr sym = instance.symbols();
 
   // Candidate pool: atomic queries that are not yet facts and individually
-  // non-certain.
+  // non-certain. A candidate the model falsifies is non-certain without a
+  // probe; `settled` marks those.
   std::vector<std::pair<Ucq, std::vector<ElemId>>> candidates;
+  std::vector<bool> settled;
   bool any_unknown = false;
   auto try_candidate = [&](uint32_t rel, const std::vector<ElemId>& tuple,
                            bool boolean) {
     if (!boolean && instance.HasFact(rel, tuple)) return;
     Cq q = AtomicQuery(sym, rel, tuple, boolean);
     std::vector<ElemId> answer = boolean ? std::vector<ElemId>{} : tuple;
+    if (model && !q.HasAnswer(*model, answer)) {
+      ++*model_settled;
+      candidates.emplace_back(Ucq::Single(std::move(q)), answer);
+      settled.push_back(true);
+      return;
+    }
     Certainty c = solver.IsCertain(instance, q, answer);
     if (c == Certainty::kNo) {
       candidates.emplace_back(Ucq::Single(std::move(q)), answer);
+      settled.push_back(false);
     } else if (c == Certainty::kUnknown) {
       any_unknown = true;
     }
@@ -105,8 +116,40 @@ std::optional<DisjunctionViolation> FindDisjunctionViolationImpl(
     return std::nullopt;
   }
   // If the full disjunction of the non-certain candidates is not certain,
-  // no subset can witness a violation.
+  // no subset can witness a violation. The model answers every candidate
+  // that it did not settle, so when it settled all of them it is itself
+  // the countermodel to the disjunction.
+  if (std::find(settled.begin(), settled.end(), false) == settled.end()) {
+    ++*model_settled;
+    *conclusive = !any_unknown;
+    return std::nullopt;
+  }
   Certainty full = solver.HasDisjunctionViolation(instance, candidates);
+  if (full == Certainty::kUnknown) {
+    // HasDisjunctionViolation probes each disjunct again, and the probe of
+    // a settled candidate may stay undecided where the model decided it.
+    // The pool without the model would not hold such a candidate: drop it,
+    // so the verdict and the witness stay those of a scan without the
+    // shortcut, which can only have fewer undecided probes.
+    size_t kept = 0;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const auto& [q, t] = candidates[i];
+      if (settled[i] &&
+          solver.IsCertain(instance, q, t) == Certainty::kUnknown) {
+        any_unknown = true;
+        continue;
+      }
+      candidates[kept++] = std::move(candidates[i]);
+    }
+    if (kept < candidates.size()) {
+      candidates.resize(kept);
+      if (candidates.size() < 2) {
+        *conclusive = false;
+        return std::nullopt;
+      }
+      full = solver.HasDisjunctionViolation(instance, candidates);
+    }
+  }
   if (full == Certainty::kNo) {
     *conclusive = !any_unknown;
     return std::nullopt;
@@ -135,7 +178,9 @@ std::optional<DisjunctionViolation> FindDisjunctionViolationImpl(
 std::optional<DisjunctionViolation> FindDisjunctionViolation(
     CertainAnswerSolver& solver, const Instance& instance,
     const std::vector<uint32_t>& signature, bool* conclusive,
-    ProbeOptions options) {
+    ProbeOptions options, uint64_t* model_settled) {
+  uint64_t ignored = 0;
+  if (model_settled == nullptr) model_settled = &ignored;
   // Whole-probe memo: one cache entry summarizes the probe of this
   // instance (kNo = no violation & conclusive, kUnknown = no violation &
   // inconclusive, kYes = violation exists). A warm bouquet scan thus pays
@@ -165,11 +210,11 @@ std::optional<DisjunctionViolation> FindDisjunctionViolation(
         return std::nullopt;
       }
       return FindDisjunctionViolationImpl(solver, instance, signature,
-                                          conclusive, options);
+                                          conclusive, options, model_settled);
     }
   }
   std::optional<DisjunctionViolation> out = FindDisjunctionViolationImpl(
-      solver, instance, signature, conclusive, options);
+      solver, instance, signature, conclusive, options, model_settled);
   if (use_cache) {
     Certainty summary = out.has_value()
                             ? Certainty::kYes

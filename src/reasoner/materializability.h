@@ -37,11 +37,14 @@ struct ProbeOptions {
 /// The opening consistency check goes through the solver's shared
 /// ConsistencyCache: bouquet scans probe many isomorphic instances, so
 /// repeated probes (and re-runs, e.g. determinism double-checks) are served
-/// from the cache rather than re-chasing.
+/// from the cache rather than re-chasing. The model it finds settles every
+/// candidate it falsifies (such an atom is not certain) without an
+/// entailment probe; `model_settled`, when non-null, is increased by the
+/// number of probes skipped that way.
 std::optional<DisjunctionViolation> FindDisjunctionViolation(
     CertainAnswerSolver& solver, const Instance& instance,
     const std::vector<uint32_t>& signature, bool* conclusive,
-    ProbeOptions options = {});
+    ProbeOptions options = {}, uint64_t* model_settled = nullptr);
 
 }  // namespace gfomq
 

@@ -1248,6 +1248,19 @@ Instance Tableau::CompactModel(const Branch& branch) const {
   return model;
 }
 
+void Tableau::RecordModel(const Branch& branch, const Instance& model) {
+  // CompactModel shifts every id past a merged-away element, so a model in
+  // which an input element died no longer keeps the input's ids: decline
+  // it rather than let callers read it under the wrong elements.
+  for (ElemId e = 0; e < input_elements_; ++e) {
+    if (branch.IsDead(e)) {
+      last_model_.reset();
+      return;
+    }
+  }
+  last_model_ = model;
+}
+
 // --- Serial search (the differential reference) --------------------------------
 
 bool Tableau::Explore(Branch branch, uint64_t depth,
@@ -1280,7 +1293,7 @@ bool Tableau::Explore(Branch branch, uint64_t depth,
       ++stats_.branches_saturated;
       branch_terminations_.fetch_add(1, std::memory_order_relaxed);
       Instance model = CompactModel(branch);
-      last_model_ = model;
+      RecordModel(branch, model);
       if (fn(model)) {
         *stop = true;
       }
@@ -1337,7 +1350,7 @@ bool Tableau::ExploreTrail(Branch* branch, BranchTrail* trail, NogoodCtx* ng,
       ++stats_.branches_saturated;
       branch_terminations_.fetch_add(1, std::memory_order_relaxed);
       Instance model = CompactModel(*branch);
-      last_model_ = model;
+      RecordModel(*branch, model);
       if (fn(model)) *stop = true;
       return true;
     }
@@ -1486,7 +1499,7 @@ void Tableau::ExploreTask(Branch branch, uint64_t depth, ParallelCtx* ctx,
       // this one was being compacted, and the user callback must not be
       // invoked after it returned "stop".
       if (!ctx->cancel.cancelled()) {
-        last_model_ = model;
+        RecordModel(branch, model);
         if ((*ctx->fn)(model)) ctx->cancel.Cancel();
       }
       return;
@@ -1576,6 +1589,8 @@ bool Tableau::ForEachModel(const Instance& input,
   steps_used_.store(0, std::memory_order_relaxed);
   branch_terminations_.store(0, std::memory_order_relaxed);
   learned_nogoods_.clear();
+  last_model_.reset();
+  input_elements_ = static_cast<ElemId>(input.NumElements());
   Branch root;
   root.inst = std::make_shared<Instance>(input);
   if (budget_.engine == TableauEngine::kTrail) {
@@ -1652,7 +1667,15 @@ Certainty Tableau::FindModelWhere(
     prune_ = &prune;
   }
   bool found = false;
+  bool declined = false;
   bool complete = ForEachModel(input, [&](const Instance& model) {
+    // RecordModel has just cleared last_model_ if the model lost an input
+    // element's id. `reject` reads input ids (a query tuple), so such a
+    // model can be neither accepted nor ruled out.
+    if (!last_model_) {
+      declined = true;
+      return false;
+    }
     if (reject(model)) {
       found = true;
       return true;
@@ -1661,7 +1684,7 @@ Certainty Tableau::FindModelWhere(
   });
   prune_ = nullptr;
   if (found) return Certainty::kYes;
-  return complete ? Certainty::kNo : Certainty::kUnknown;
+  return complete && !declined ? Certainty::kNo : Certainty::kUnknown;
 }
 
 }  // namespace gfomq

@@ -296,7 +296,10 @@ class Tableau {
 
   /// Tries to find a model of `input` where `reject` returns true (e.g. a
   /// countermodel to a query). kYes = found (model available via
-  /// last_model()), kNo = definitively none, kUnknown = budget.
+  /// last_model()), kNo = definitively none, kUnknown = budget, or a
+  /// saturated branch merged away an input element (`reject` would read
+  /// the compacted model's renumbered ids, so the branch decides nothing).
+
   ///
   /// When `reject_antimonotone` is set, the caller guarantees that once
   /// `reject` is false on a branch structure it stays false on every
@@ -308,6 +311,10 @@ class Tableau {
                            const std::function<bool(const Instance&)>& reject,
                            bool reject_antimonotone = false);
 
+  /// The model the last search accepted, with every input element under
+  /// its input id (the input is a subinstance of it). nullopt when the
+  /// search found none, or when a merge removed an input element: the
+  /// reported model is compacted then, so its ids are not the input's.
   const std::optional<Instance>& last_model() const { return last_model_; }
   const TableauStats& stats() const { return stats_; }
 
@@ -380,6 +387,9 @@ class Tableau {
   // Compacts a saturated branch into a reportable model (drops merged-away
   // elements); shared by the serial and parallel engines.
   Instance CompactModel(const Branch& branch) const;
+  // Stores `model` (compacted from `branch`) as last_model_, or clears it
+  // when an input element of `branch` was merged away.
+  void RecordModel(const Branch& branch, const Instance& model);
 
   // Set during FindModelWhere with an antimonotone reject: branches on
   // which this returns true can never become rejecting models and are
@@ -467,6 +477,8 @@ class Tableau {
   bool naive_;
   TableauStats stats_;
   std::optional<Instance> last_model_;
+  // Elements of the current search's input: ids 0..input_elements_-1.
+  ElemId input_elements_ = 0;
   // Nogoods learned by the last trail run (for inspection and the
   // soundness property test).
   std::vector<Nogood> learned_nogoods_;

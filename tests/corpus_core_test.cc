@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/engine.h"
 #include "corpus/corpus.h"
 #include "dl/translate.h"
@@ -60,7 +62,13 @@ TEST(CoreTest, EngineClassifiesHornAsPtime) {
   OmqVerdict verdict = engine->Classify();
   EXPECT_EQ(verdict.syntactic.verdict, DichotomyStatus::kDichotomy);
   EXPECT_EQ(verdict.ptime, Certainty::kYes);
-  EXPECT_FALSE(verdict.Summary(*onto->symbols).empty());
+  // Each bouquet's consistency model settles the candidates it falsifies,
+  // and the summary says how many.
+  EXPECT_GT(verdict.meta_stats.model_settled_probes, 0u);
+  EXPECT_NE(verdict.Summary(*onto->symbols)
+                .find("probes settled by a consistency model: " +
+                      std::to_string(verdict.meta_stats.model_settled_probes)),
+            std::string::npos);
 }
 
 TEST(CoreTest, EngineClassifiesDisjunctiveAsHard) {

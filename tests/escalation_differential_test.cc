@@ -6,10 +6,16 @@
 // every model the finite-model search returns for a multi-pair avoid list
 // must be a model of the ontology that extends the input and answers none
 // of the avoided pairs.
+//
+// The ModelContract suite checks the models that IsConsistent hands back,
+// which the probe loops use to skip every atom a model falsifies: each is
+// a model of the ontology that contains the input under the same element
+// ids, and no atom it falsifies is certain.
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +24,7 @@
 #include "instance/eval.h"
 #include "logic/normalize.h"
 #include "logic/parser.h"
+#include "reasoner/tableau.h"
 #include "query/cq.h"
 #include "reasoner/bouquet.h"
 #include "reasoner/certain.h"
@@ -278,6 +285,220 @@ TEST(EscalationDifferential, NamedOntologyBouquetsAgreeWithFullTableau) {
       EXPECT_GT(tally.models_checked, 0u);
     }
   }
+}
+
+// Checks one model that IsConsistent handed back for `input` against the
+// contract the probe loops rely on. `plain` is a solver with its own cache,
+// so its entailment verdicts owe nothing to the model under test.
+void ExpectModelContract(const Ontology& onto, CertainAnswerSolver& plain,
+                         const Instance& input, const Instance& model,
+                         const std::vector<uint32_t>& signature,
+                         const std::string& label) {
+  EXPECT_TRUE(IsModelOf(onto, model))
+      << label << " on " << input.ToString() << "\nmodel: "
+      << model.ToString();
+  ASSERT_GE(model.NumElements(), input.NumElements()) << label;
+  for (ElemId e = 0; e < input.NumElements(); ++e) {
+    ASSERT_EQ(model.IsNull(e), input.IsNull(e)) << label << " element " << e;
+    if (!input.IsNull(e)) {
+      EXPECT_EQ(model.ElemName(e), input.ElemName(e)) << label;
+    }
+  }
+  for (const Fact& f : input.facts()) {
+    EXPECT_TRUE(model.HasFact(f)) << label << " lost an input fact";
+  }
+  for (const auto& [q, t] : AtomicCandidates(input, signature)) {
+    if (q.HasAnswer(model, t)) continue;
+    EXPECT_NE(plain.IsCertain(input, q, t), Certainty::kYes)
+        << label << ": the model falsifies the certain atom " << q.ToString()
+        << " on " << input.ToString();
+  }
+}
+
+std::vector<uint32_t> LevelSignature(const SymbolsPtr& sym) {
+  std::vector<uint32_t> signature;
+  for (uint32_t level = 0; level < kLevels; ++level) {
+    signature.push_back(LevelRel(sym, level));
+  }
+  signature.push_back(sym->Rel("R", 2));
+  return signature;
+}
+
+TEST(ModelContract, FuzzSeedModelsKeepTheInput) {
+  uint64_t models = 0;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    Rng rng(20261018000ull + seed);
+    SymbolsPtr sym = MakeSymbols();
+    RuleSet rules = RandomRules(sym, rng);
+    Instance d = FuzzInstance(sym, rng);
+    auto onto = ParseOntology(RulesToText(rules), sym);
+    ASSERT_TRUE(onto.ok()) << onto.status().ToString();
+    CertainAnswerSolver plain(rules);
+    // Models of the escalation's first two stages and of the full tableau.
+    for (CertainOptions opts : {CertainOptions{}, FullTableauOnly()}) {
+      CertainAnswerSolver solver(rules, opts);
+      const std::string label = "seed " + std::to_string(seed) +
+                                " ground_extra_nulls " +
+                                std::to_string(opts.ground_extra_nulls);
+      std::optional<Instance> model;
+      Certainty consistent = solver.IsConsistent(d, &model);
+      EXPECT_EQ(consistent, plain.IsConsistent(d)) << label;
+      if (consistent != Certainty::kYes) {
+        EXPECT_FALSE(model.has_value()) << label;
+        continue;
+      }
+      // Constants never merge, so the model is never declined here.
+      ASSERT_TRUE(model.has_value()) << label;
+      ++models;
+      ExpectModelContract(*onto, plain, d, *model, LevelSignature(sym),
+                          label);
+      // A memoized kYes carries no model: asking again searches again.
+      std::optional<Instance> again;
+      EXPECT_EQ(solver.IsConsistent(d, &again), Certainty::kYes) << label;
+      EXPECT_TRUE(again.has_value()) << label;
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "stopping at first failing seed " << seed;
+    }
+  }
+  EXPECT_GT(models, 100u);
+}
+
+TEST(ModelContract, NamedOntologyBouquetModelsKeepTheInput) {
+  for (const Named& named : NamedOntologies()) {
+    SCOPED_TRACE(named.name);
+    auto onto = ParseOntology(named.text);
+    ASSERT_TRUE(onto.ok()) << onto.status().ToString();
+    auto rules = NormalizeOntology(*onto);
+    ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+    CertainOptions opts;
+    opts.tableau.max_fresh_nulls = 20;
+    CertainAnswerSolver solver(*rules, opts);
+    CertainAnswerSolver plain(*rules, opts);
+    std::vector<uint32_t> signature = onto->Signature();
+    BouquetOptions bouquets;
+    bouquets.max_outdegree = 1;
+    bouquets.max_bouquets = 64;
+    uint64_t models = 0;
+    ForEachBouquet(onto->symbols, signature, bouquets,
+                   [&](const Instance& bouquet) {
+      std::optional<Instance> model;
+      if (solver.IsConsistent(bouquet, &model) == Certainty::kYes) {
+        EXPECT_TRUE(model.has_value()) << bouquet.ToString();
+        if (model) {
+          ++models;
+          ExpectModelContract(*onto, plain, bouquet, *model, signature,
+                              named.name);
+        }
+      }
+      return ::testing::Test::HasFailure();
+    });
+    EXPECT_GT(models, 0u);
+  }
+}
+
+TEST(ModelContract, MergedInputNullsDeclineTheModel) {
+  // R is functional, so the input nulls n1 and n2 are one element in every
+  // model: no model keeps both ids apart, and the tableau merges one of
+  // them away. The consistency probe must decline that model.
+  auto onto = ParseOntology("func R; forall x . (A(x) -> B(x));");
+  ASSERT_TRUE(onto.ok()) << onto.status().ToString();
+  auto rules = NormalizeOntology(*onto);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  const SymbolsPtr& sym = onto->symbols;
+  Instance d(sym);
+  ElemId a = d.AddConstant("a");
+  ElemId n1 = d.AddNull();
+  ElemId n2 = d.AddNull();
+  d.AddFact(sym->Rel("R", 2), {a, n1});
+  d.AddFact(sym->Rel("R", 2), {a, n2});
+  d.AddFact(sym->Rel("A", 1), {n2});
+
+  Tableau tableau(*rules);
+  EXPECT_EQ(tableau.IsConsistent(d), Certainty::kYes);
+  EXPECT_FALSE(tableau.last_model().has_value());
+  for (CertainOptions opts : {CertainOptions{}, FullTableauOnly()}) {
+    CertainAnswerSolver solver(*rules, opts);
+    std::optional<Instance> model;
+    EXPECT_EQ(solver.IsConsistent(d, &model), Certainty::kYes);
+    EXPECT_FALSE(model.has_value()) << model->ToString();
+  }
+
+  // Without a model CertainAnswers probes every tuple, as a loop does. The
+  // entailment probes meet the same merge: B(n1) and B(n2) are certain, and
+  // no probe may call them otherwise (the countermodel search cannot read
+  // n2 in a model that renumbered it, so it answers kUnknown at worst).
+  auto q = ParseUcq("q(x) :- B(x)", sym);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  CertainAnswerSolver solver(*rules);
+  CertainAnswerSolver plain(*rules);
+  std::set<std::vector<ElemId>> loop;
+  for (ElemId e = 0; e < d.NumElements(); ++e) {
+    Certainty c = plain.IsCertain(d, *q, {e});
+    if (c == Certainty::kYes) loop.insert({e});
+    if (e != a) EXPECT_NE(c, Certainty::kNo) << "element " << e;
+  }
+  EXPECT_EQ(solver.CertainAnswers(d, *q), loop);
+}
+
+TEST(ModelContract, CertainAnswersMatchPerTupleProbes) {
+  uint64_t answered = 0;
+  uint64_t inconsistent = 0;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    Rng rng(20261018000ull + seed);
+    SymbolsPtr sym = MakeSymbols();
+    RuleSet rules = RandomRules(sym, rng);
+    Instance d = FuzzInstance(sym, rng);
+    std::vector<Ucq> queries;
+    for (uint32_t level = 0; level < kLevels; ++level) {
+      queries.push_back(AtomicQuery(sym, LevelRel(sym, level), {0}));
+    }
+    queries.push_back(AtomicQuery(sym, sym->Rel("R", 2), {0, 1}));
+    CertainAnswerSolver solver(rules);
+    CertainAnswerSolver plain(rules);
+    if (plain.IsConsistent(d) == Certainty::kNo) ++inconsistent;
+    for (const Ucq& q : queries) {
+      std::set<std::vector<ElemId>> loop;
+      std::set<std::vector<ElemId>> loop_unknown;
+      const ElemId n = static_cast<ElemId>(d.NumElements());
+      std::vector<ElemId> tuple(q.Arity(), 0);
+      for (;;) {
+        Certainty c = plain.IsCertain(d, q, tuple);
+        if (c == Certainty::kYes) loop.insert(tuple);
+        if (c == Certainty::kUnknown) loop_unknown.insert(tuple);
+        size_t i = 0;
+        for (; i < tuple.size(); ++i) {
+          if (++tuple[i] < n) break;
+          tuple[i] = 0;
+        }
+        if (i == tuple.size()) break;
+      }
+      std::vector<std::vector<ElemId>> unknown;
+      std::set<std::vector<ElemId>> got = solver.CertainAnswers(d, q, &unknown);
+      // The model can only decide what the loop left open.
+      for (const std::vector<ElemId>& t : unknown) {
+        EXPECT_TRUE(loop_unknown.count(t)) << "seed " << seed;
+      }
+      std::set<std::vector<ElemId>> diff;
+      for (const auto& t : got) {
+        if (!loop.count(t)) diff.insert(t);
+      }
+      for (const auto& t : loop) {
+        if (!got.count(t)) diff.insert(t);
+      }
+      for (const auto& t : diff) {
+        EXPECT_TRUE(loop_unknown.count(t))
+            << "seed " << seed << " " << q.ToString() << " on "
+            << d.ToString();
+      }
+      answered += got.size();
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "stopping at first failing seed " << seed;
+    }
+  }
+  EXPECT_GT(answered, 0u);
+  EXPECT_GT(inconsistent, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // The seeded rule-set generator of the cross-engine fuzz sweep, shared
-// with the rewriting differential suites. See tableau_fuzz_test.cc for why
-// its rule sets are index-increasing (every chase terminates quickly).
+// with the rewriting differential suites, and its rendering as ontology
+// text for the suites that need an Ontology. See tableau_fuzz_test.cc for
+// why its rule sets are index-increasing (every chase terminates quickly).
 
 #ifndef GFOMQ_TESTS_FUZZ_RULES_H_
 #define GFOMQ_TESTS_FUZZ_RULES_H_
 
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "logic/rules.h"
@@ -105,6 +107,44 @@ inline RuleSet RandomRules(SymbolsPtr sym, Rng& rng) {
   }
 
   return rules;
+}
+
+/// Renders a fuzz-generator rule set as ontology text. Only the shapes the
+/// generator draws occur: a guard atom, optional body atoms, and head
+/// alternatives of atoms, ⊥, or one existential unit.
+inline std::string RulesToText(const RuleSet& rules) {
+  const Symbols& sym = *rules.symbols;
+  const char* names[] = {"x", "y"};
+  auto atom = [&](const Lit& l) {
+    std::string s = sym.RelName(l.rel) + "(";
+    for (size_t i = 0; i < l.args.size(); ++i) {
+      s += (i ? "," : "") + std::string(names[l.args[i]]);
+    }
+    return s + ")";
+  };
+  std::string text;
+  for (const GuardedRule& r : rules.rules) {
+    std::string head;
+    for (const HeadAlt& alt : r.head) {
+      std::vector<std::string> parts;
+      if (alt.is_false) parts.push_back("false");
+      for (const Lit& l : alt.lits) parts.push_back(atom(l));
+      for (const ExistsUnit& e : alt.exists) {
+        std::string unit = "exists y (" + atom(e.guard);
+        for (const Lit& l : e.lits) unit += " & " + atom(l);
+        parts.push_back(unit + ")");
+      }
+      std::string conj;
+      for (const std::string& p : parts) {
+        conj += (conj.empty() ? "" : " & ") + p;
+      }
+      head += (head.empty() ? "" : " | ") + conj;
+    }
+    for (const Lit& b : r.body) head = "(" + atom(b) + " -> " + head + ")";
+    text += std::string("forall ") + (r.num_vars == 1 ? "x" : "x, y") +
+            " (" + atom(r.guard) + " -> " + head + "); ";
+  }
+  return text;
 }
 
 }  // namespace gfomq

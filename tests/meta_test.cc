@@ -193,6 +193,7 @@ TEST(BouquetTest, MetaDecisionTableauStatsAreThisRunsOwn) {
   EXPECT_EQ(first.ptime, Certainty::kYes);
   EXPECT_GT(first.stats.tableau.steps, 0u);
   EXPECT_GT(first.stats.tableau.trail_entries, 0u);
+  EXPECT_GT(first.stats.model_settled_probes, 0u);
   MetaDecision second =
       DecidePtimeByBouquets(*solver, sym, onto->Signature(), opts);
   EXPECT_EQ(second.ptime, Certainty::kYes);
@@ -201,6 +202,7 @@ TEST(BouquetTest, MetaDecisionTableauStatsAreThisRunsOwn) {
   EXPECT_EQ(second.stats.tableau.trail_entries, 0u);
   EXPECT_EQ(second.stats.tableau.pop_levels, 0u);
   EXPECT_EQ(second.stats.cache.misses, 0u);
+  EXPECT_EQ(second.stats.model_settled_probes, 0u);
 }
 
 TEST(BouquetTest, MetaDecisionHornIsPtime) {

@@ -332,6 +332,9 @@ TEST(PlannerTest, UndecidedSweepProbesFallBackToTableau) {
   auto decided = RewriteToDatalog(onto, q, {});
   ASSERT_TRUE(decided.ok());
   EXPECT_EQ(decided->undecided_probes, 0u);
+  // The configurations' models settle the head atoms they falsify (R(x,x)
+  // and B on the second element, among others) without a probe.
+  EXPECT_GT(decided->model_settled_probes, 0u);
   EXPECT_EQ(DatalogEngine(decided->program).GoalTuples(db),
             (std::set<std::vector<ElemId>>{{c}}));
   auto served = MustPlan(onto, Assume(Certainty::kYes));
@@ -575,6 +578,46 @@ TEST(PlannerDifferentialTest, RecursiveFamilyAllBackendsAgree) {
                 ->planner_stats()
                 .chosen[static_cast<size_t>(PlanBackend::kDatalogRewrite)],
             0u);
+}
+
+TEST(PlannerDifferentialTest, InconsistentBaseAnswersTheWholeDomain) {
+  // U0(a), U1(a) make the base inconsistent, so every pair over {a, b, c}
+  // is certain. The rewriting's domain must include b and c, which occur
+  // only in a fact over the query's relation S, not over sig(O).
+  SymbolsPtr sym = MakeSymbols();
+  const std::string text = "forall x (U0(x) -> (U1(x) -> false));";
+  Ucq q = MustUcq("q(x,y) :- S(x,y)", sym);
+  uint32_t u0 = sym->Rel("U0", 1);
+  uint32_t u1 = sym->Rel("U1", 1);
+  uint32_t s_rel = sym->Rel("S", 2);
+  for (auto [label, opts] :
+       std::vector<std::pair<std::string, PlanOptions>>{
+           {"planner", Assume(Certainty::kYes)},
+           {"datalog", Pinned(PlanBackend::kDatalogRewrite)},
+           {"tableau", Pinned(PlanBackend::kTableau)}}) {
+    SCOPED_TRACE(label);
+    Session session(MustPlan(MustOntology(text, sym), opts));
+    ASSERT_TRUE(session.RegisterQuery("q", q).ok());
+    ElemId a = session.AddConstant("a");
+    ElemId b = session.AddConstant("b");
+    ElemId c = session.AddConstant("c");
+    ASSERT_TRUE(session.Assert({u0, {a}}).ok());
+    ASSERT_TRUE(session.Assert({u1, {a}}).ok());
+    ASSERT_TRUE(session.Assert({s_rel, {b, c}}).ok());
+    auto answers = session.Answers("q");
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    std::set<std::vector<ElemId>> all;
+    for (ElemId x : {a, b, c}) {
+      for (ElemId y : {a, b, c}) all.insert({x, y});
+    }
+    EXPECT_EQ(*answers, all);
+    if (label == "planner") {
+      // The planner serves a rewriting here, not the tableau.
+      EXPECT_EQ(session.plan()->planner_stats().chosen[static_cast<size_t>(
+                    PlanBackend::kTableau)],
+                0u);
+    }
+  }
 }
 
 TEST(PlannerDifferentialTest, CspFamilyAgreesWithTableau) {
